@@ -30,6 +30,7 @@ from .charroots import (
     RootSet,
     asymptotic_slope,
     char_roots,
+    determined_roots,
     halfplane_count,
     local_dimension,
     unstable_count,
@@ -87,6 +88,7 @@ __all__ = [
     "char_roots",
     "compound_additive",
     "compound_multiplicative",
+    "determined_roots",
     "halfplane_count",
     "integrate",
     "invariant_ball_check",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import InputError, NumericalFailure
 
@@ -73,47 +74,20 @@ class DimensionBound:
 
 
 def lambert_root(c: float) -> float:
-    """Unique real root p >= -1 of p e^{p+1} = c.
+    """Unique real root p >= -1 of p e^{p+1} = c, which is W_0(c/e).
 
     The map is monotone increasing on [-1, inf) with range [-1, inf), so the
-    root exists iff c >= -1.  Newton iteration with a bisection safeguard;
-    residual bounded by 1e-12 * (1 + |c|).
+    root exists iff c >= -1.
     """
     c = float(c)
-    if not np.isfinite(c):
+    if not math.isfinite(c):
         raise InputError(f"c must be finite, got {c}")
     if c < -1.0:
         raise InputError(f"p e^(p+1) = c has no real root p >= -1 for c = {c} < -1")
     if c == -1.0:
         return -1.0
-
-    def f(p):
-        return p * math.exp(p + 1.0) - c
-
-    lo, hi = -1.0, max(20.0, math.log1p(abs(c)) + 2.0)
-    while f(hi) < 0.0:
-        hi *= 2.0
-    p = max(0.0, math.log1p(abs(c)))
-    for _ in range(200):
-        fp = f(p)
-        if fp > 0.0:
-            hi = min(hi, p)
-        elif fp < 0.0:
-            lo = max(lo, p)
-        dfp = (1.0 + p) * math.exp(p + 1.0)
-        step_ok = dfp > 0.0
-        if step_ok:
-            p_new = p - fp / dfp
-            step_ok = lo < p_new < hi
-        if not step_ok:
-            p_new = 0.5 * (lo + hi)
-        if abs(p_new - p) <= 1e-16 * max(1.0, abs(p)):
-            p = p_new
-            break
-        p = p_new
-    if abs(f(p)) > 1e-12 * (1.0 + abs(c)):
-        raise NumericalFailure(f"root refinement stalled at p={p}, residual={f(p)}")
-    return p
+    # c/e may round below the branch point, where W_0 leaves the real line
+    return max(float(lambertw(c / math.e).real), -1.0)
 
 
 def scalar_bound(prob: BoundProblem) -> DimensionBound:

@@ -1,24 +1,25 @@
 """Characteristic roots of scalar linear delay equations p = a + b e^{-tau p}.
 
-Roots are located by eigenvalues of a Chebyshev collocation discretization of
-the shift generator on [-tau, 0] (augmented with asymptotic chain seeds for
-deep spectra), polished by Newton, deduplicated, and certified on demand by an
-argument-principle contour count.  On top of the root sets: Kaplan-Yorke local
-dimensions, unstable-direction counts, and least-squares slope fits of either
-quantity against the delay.
+Substituting w = tau (p - a) turns the equation into w e^w = z with
+z = b tau e^{-a tau}, so the roots are exactly p_k = a + W_k(z)/tau, one per
+branch k of the Lambert W function (Corless et al., "On the Lambert W
+function", Adv. Comput. Math. 5, 1996).  Branches are enumerated until the
+left-out ones lie below the requested roots; where |log z| is too large for
+z to be formed, W_k solves w + log w = log z + 2 pi i k instead.  Counts are
+certified independently by an argument-principle contour count.  On top of
+the root sets: Kaplan-Yorke local dimensions, unstable-direction counts, and
+least-squares slope fits of either quantity against the delay.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
+from scipy.special import lambertw
 
-from ._spectral import differentiation_matrix
 from .errors import InputError, NeedsMoreRootsError, NumericalFailure
 
 __all__ = [
@@ -26,11 +27,21 @@ __all__ = [
     "RootSet",
     "SlopeFit",
     "char_roots",
+    "determined_roots",
     "local_dimension",
     "unstable_count",
     "halfplane_count",
     "asymptotic_slope",
 ]
+
+_LOG_SPACE_BEYOND = 600.0  # |log z| above which z itself over- or underflows
+_EPS = np.finfo(float).eps
+# W_{-1}(z) = sum_k mu_k q^k, q = -sqrt(2 (1 + e z)), near the branch point
+# z = -1/e, where scipy's branch -1 loses accuracy (highest power first)
+_BRANCH_POINT_SERIES = (
+    -221.0 / 8505.0, 769.0 / 17280.0, -43.0 / 540.0, 11.0 / 72.0, -1.0 / 3.0, 1.0, -1.0
+)
+_MAX_EDGE_SAMPLES = 300000
 
 
 @dataclass(frozen=True)
@@ -49,12 +60,6 @@ class CharProblem:
         """Characteristic residual a + b e^{-tau p} - p."""
         return self.a + self.b * np.exp(-self.tau * p) - p
 
-    def hprime(self, p):
-        return -self.b * self.tau * np.exp(-self.tau * p) - 1.0
-
-    def hsecond(self, p):
-        return self.b * self.tau**2 * np.exp(-self.tau * p)
-
 
 @dataclass
 class RootSet:
@@ -66,7 +71,6 @@ class RootSet:
     residuals: np.ndarray
     multiplicities: np.ndarray
     partial: bool = False
-    warnings: tuple = ()
 
     def __len__(self):
         return self.roots.size
@@ -90,169 +94,79 @@ class SlopeFit:
         return abs(self.half_decade_slopes[0] - self.half_decade_slopes[1])
 
 
-def _sort_key(roots: np.ndarray) -> np.ndarray:
-    return np.lexsort((-roots.imag, -roots.real))
-
-
-def _spectral_seeds(prob: CharProblem, size: int) -> np.ndarray:
-    """Eigenvalues of the collocated generator: d/dtheta with the boundary
-    row enforcing phi'(0) = a phi(0) + b phi(-tau)."""
-    D = differentiation_matrix(size) * (2.0 / prob.tau)
-    A = D.copy()
-    A[-1, :] = 0.0
-    A[-1, -1] = prob.a
-    A[-1, 0] = prob.b
-    return np.linalg.eigvals(A)
-
-
-def _chain_seeds(prob: CharProblem, count: int) -> np.ndarray:
-    """Asymptotic seeds: the root chain has imaginary parts spaced 2 pi/tau
-    with real part (1/tau) log(|b| / sqrt(a^2 + v^2))."""
-    if prob.b == 0.0 or count < 1:
-        return np.empty(0, dtype=complex)
-    j = np.arange(1, count + 1, dtype=float)
-    v = (2.0 * j - 1.0) * math.pi / prob.tau
-    re = np.log(abs(prob.b) / np.hypot(prob.a, v)) / prob.tau
-    return re + 1j * v
-
-
-def _newton_polish(prob: CharProblem, seeds: np.ndarray, max_iter: int = 60):
-    p = np.asarray(seeds, dtype=complex).copy()
-    for _ in range(max_iter):
-        # points this deep in the left half-plane overflow e^{-tau p} and
-        # cannot belong to the dominant strip anyway
-        escaped = (-prob.tau * p.real) > 80.0
-        if escaped.any():
-            p = p[~escaped]
-        h = prob.h(p)
-        done = np.abs(h) <= 1e-13 * (1.0 + np.abs(p))
-        if done.all():
+def _log_space_w(L) -> np.ndarray:
+    """Solutions of w + log w = L by Newton from the asymptotic start
+    L - log L: the branch values W_k(z) for L = log z + 2 pi i k, |L| large."""
+    L = np.asarray(L, dtype=complex)
+    w = L - np.log(L)
+    for _ in range(50):
+        step = (w + np.log(w) - L) / (1.0 + 1.0 / w)
+        w = w - step
+        if np.all(np.abs(step) <= 4.0 * _EPS * np.abs(w)):
             break
-        dh = prob.hprime(p)
-        bad = np.abs(dh) < 1e-30
-        dh = np.where(bad, 1.0, dh)
-        step = np.where(done | bad, 0.0, h / dh)
-        # damp huge steps so seeds stay in their own basin
-        mag = np.abs(step)
-        step = step / np.where(mag > 1.0, mag, 1.0)
-        p = p - step
-    p = p[(-prob.tau * p.real) <= 80.0]
-    res = np.abs(prob.h(p))
-    ok = res <= 1e-12 * (1.0 + np.abs(p))
-    return p[ok], int(np.sum(~ok))
+    return w
 
 
-def _polish_inplace(prob: CharProblem, p: np.ndarray, iters: int = 6) -> np.ndarray:
-    """Extra Newton sweeps that never drop points.  Real inputs stay exactly
-    real and conjugate pairs stay conjugate, so the canonicalized structure
-    survives; converged points (including double roots) are left alone."""
-    for _ in range(iters):
-        h = prob.h(p)
-        need = np.abs(h) > 1e-14 * (1.0 + np.abs(p))
-        if not need.any():
-            break
-        dh = prob.hprime(p)
-        safe = np.abs(dh) > 1e-8
-        step = np.where(need & safe, h / np.where(safe, dh, 1.0), 0.0)
-        p = p - step
-    return p
-
-
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    if points.size == 0:
-        return points
-    order = _sort_key(points)
-    pts = points[order]
-    out = [pts[0]]
-    for z in pts[1:]:
-        if all(abs(z - w) > tol for w in out[-40:]):
-            out.append(z)
-    return np.array(out)
+def _central_w(a: float, b: float, tau: float, log_abs_z: float):
+    """Branches 0 and -1 as (real values, their multiplicity, nonreal value
+    with Im > 0).  A nonreal W_{-1} is conj W_0 (z < -1/e) or conj W_1
+    (z > 0), which the conjugate closure supplies."""
+    if log_abs_z < -_LOG_SPACE_BEYOND:
+        # W_0(z) = z (1 + O(z)) is exact to double once z underflows; the
+        # real W_{-1} of z < 0 solves the principal-log equation with k = 0
+        real = [math.copysign(math.exp(log_abs_z), b)]
+        if b < 0.0:
+            real.append(_log_space_w(complex(log_abs_z, math.pi)).real)
+        return real, 1, []
+    if log_abs_z > _LOG_SPACE_BEYOND:
+        w0 = complex(_log_space_w(complex(log_abs_z, math.pi if b < 0.0 else 0.0)))
+    else:
+        z = b * tau * math.exp(-a * tau)
+        d = 1.0 + math.e * z
+        if abs(d) <= 8.0 * _EPS * (1.0 + abs(a) * tau):
+            return [-1.0, -1.0], 2, []  # z = -1/e to rounding: w = -1 is double
+        w0 = complex(lambertw(z, 0))
+        if b < 0.0 and d > 0.0:
+            q = math.sqrt(2.0 * d)
+            wm1 = np.polyval(_BRANCH_POINT_SERIES, -q) if q < 1e-2 else lambertw(z, -1).real
+            return [w0.real, float(wm1)], 1, []
+    return ([w0.real], 1, []) if w0.imag == 0.0 else ([], 1, [w0])
 
 
 def char_roots(prob: CharProblem, count: int) -> RootSet:
-    """The count roots with largest real parts.
+    """The count roots with largest real parts, from Lambert-W branches.
 
-    b = 0 collapses to the single root p = a.  Fewer certified roots than
-    requested sets the partial flag; Newton failures are dropped and counted
-    in warnings.
+    Branches 0 and -1 plus 1..K (and the conjugates) are evaluated, doubling
+    K until branch K+1, and with it every branch left out, lies strictly
+    below the count-th real part.  b = 0 collapses to the single root p = a,
+    so count > 1 sets the partial flag.  At z = -1/e (to rounding) branches
+    0 and -1 merge into the double root a - 1/tau.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    if prob.b == 0.0:
-        roots = np.array([complex(prob.a)])
-        return RootSet(
-            roots,
-            count,
-            np.abs(prob.h(roots)),
-            np.ones(1, dtype=int),
-            partial=count > 1,
-        )
-    size = max(4 * count, 64)
-    seeds = np.concatenate(
-        [_spectral_seeds(prob, size), _chain_seeds(prob, 2 * count)]
-    )
-    polished, dropped = _newton_polish(prob, seeds)
-    warnings = ()
-    if dropped:
-        warnings = (f"{dropped} seeds failed to converge and were dropped",)
-    uniq = _dedup(polished, 1e-8)
-
-    # conjugate closure: keep the upper half-plane representative, emit pairs
-    upper = uniq[uniq.imag > 1e-10 * (1.0 + np.abs(uniq))]
-    real = uniq[np.abs(uniq.imag) <= 1e-10 * (1.0 + np.abs(uniq))].real.astype(complex)
-    full = [real]
-    if upper.size:
-        full += [upper, upper.conj()]
-    allr = _polish_inplace(prob, np.concatenate(full))
-
-    # double roots: Newton stalls at distance ~sqrt(eps) from them, so snap
-    # small-|h'| candidates onto the critical point and confirm h there; the
-    # 1e-5 cluster of stalled copies collapses into the doubled entry
-    mult = np.ones(allr.size, dtype=int)
-    h1_scale = 1.0 + prob.tau * abs(prob.b)
-    cand = np.where(np.abs(prob.hprime(allr)) < 1e-4 * h1_scale)[0]
-    drop = np.zeros(allr.size, dtype=bool)
-    for i in cand:
-        if drop[i]:
-            continue
-        z = allr[i]
-        for _ in range(60):
-            d2 = prob.hsecond(z)
-            if abs(d2) < 1e-30:
-                break
-            znew = z - prob.hprime(z) / d2
-            stop = abs(znew - z) <= 1e-15 * (1.0 + abs(znew))
-            z = znew
-            if stop:
-                break
-        if abs(z.imag) <= 1e-10 * (1.0 + abs(z)):
-            z = complex(z.real)
-        if abs(prob.hprime(z)) > 1e-9 * h1_scale or abs(prob.h(z)) > 1e-10 * (
-            1.0 + abs(z)
-        ):
-            continue
-        near = np.abs(allr - z) < 1e-5
-        near[i] = False
-        drop |= near
-        allr[i] = z
-        mult[i] = 2
-    allr, mult = allr[~drop], mult[~drop]
-    allr = np.repeat(allr, mult)
-    mult = np.repeat(mult, mult)
-
-    order = _sort_key(allr)
-    allr, mult = allr[order], mult[order]
-    roots = allr[:count]
-    mult = mult[:count]
-    return RootSet(
-        roots,
-        count,
-        np.abs(prob.h(roots)),
-        mult,
-        partial=roots.size < count,
-        warnings=warnings,
-    )
+    a, b, tau = prob.a, prob.b, prob.tau
+    if b == 0.0:
+        roots = np.array([complex(a)])
+        return RootSet(roots, count, np.abs(prob.h(roots)), np.ones(1, dtype=int), count > 1)
+    log_abs_z = math.log(abs(b) * tau) - a * tau
+    real, real_mult, upper = _central_w(a, b, tau, log_abs_z)
+    K = count // 2 + 4
+    while True:
+        ks = np.arange(1, K + 2)
+        if abs(log_abs_z) > _LOG_SPACE_BEYOND:
+            chain = _log_space_w(log_abs_z + 1j * (math.pi * (b < 0.0) + 2.0 * math.pi * ks))
+        else:
+            chain = lambertw(b * tau * math.exp(-a * tau), ks)
+        if not np.isfinite(chain).all():  # a NaN would never pass the check below
+            raise NumericalFailure(f"Lambert W failed on a branch up to {K + 1} at {prob}")
+        up =np.concatenate([np.asarray(upper, dtype=complex), chain[:-1]])
+        roots = a + np.concatenate([np.asarray(real, dtype=complex), up, up.conj()]) / tau
+        order = np.lexsort((-roots.imag, -roots.real))[:count]
+        if order.size == count and a + chain[-1].real / tau < roots[order[-1]].real:
+            break
+        K *= 2
+    mult = np.where(order < len(real), real_mult, 1)
+    return RootSet(roots[order], count, np.abs(prob.h(roots[order])), mult)
 
 
 def local_dimension(rs: RootSet) -> float:
@@ -283,9 +197,14 @@ def unstable_count(rs: RootSet) -> int:
     return int(np.sum(re > 0.0))
 
 
+_QUANTITIES = {"local_dimension": local_dimension, "unstable_count": unstable_count}
+
+
 def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
     """Zeros of the characteristic function inside a rectangle, by tracking
-    the phase of h along the boundary with adaptive refinement."""
+    the phase of h along the boundary with adaptive refinement.  e^{-tau p}
+    turns once per 2 pi/tau along an edge, so each edge starts with four
+    samples per half-turn."""
     corners = [
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
@@ -295,7 +214,10 @@ def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
     ]
     total = 0.0
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        t = np.linspace(0.0, 1.0, 64)
+        size = max(64, math.ceil(4.0 * prob.tau * abs(z1 - z0) / math.pi))
+        if size > _MAX_EDGE_SAMPLES:
+            raise NumericalFailure(f"contour edge needs {size} samples")
+        t = np.linspace(0.0, 1.0, size)
         for _ in range(40):
             pts = z0 + t * (z1 - z0)
             vals = prob.h(pts)
@@ -308,14 +230,14 @@ def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
             bad = np.abs(dphi) >= 1.5
             mids = 0.5 * (t[:-1][bad] + t[1:][bad])
             t = np.sort(np.concatenate([t, mids]))
-            if t.size > 300000:
+            if t.size > _MAX_EDGE_SAMPLES:
                 raise NumericalFailure("contour refinement did not settle")
         else:
             raise NumericalFailure("contour refinement did not settle")
     w = total / (2.0 * math.pi)
     n = int(round(w))
-    if abs(w - n) > 1e-6:
-        raise NumericalFailure(f"winding number {w} is not an integer")
+    if abs(w - n) > 1e-6 or n < 0:
+        raise NumericalFailure(f"winding number {w} is not a nonnegative integer")
     return n
 
 
@@ -324,9 +246,11 @@ def halfplane_count(prob: CharProblem, c: float) -> int:
     counted), via the argument principle on an enclosing rectangle."""
     if prob.b == 0.0:
         return int(prob.a > c)
-    # any root with Re p >= c obeys |p - a| <= |b| e^{-tau c}
+    # any root with Re p >= c obeys |p - a| <= |b| e^{-tau c}; when
+    # a + |b| e^{-tau c} < c there is none, and the rectangle stays to the
+    # right of c so that it is not traversed backwards
     reach = abs(prob.b) * math.exp(-prob.tau * c)
-    re_hi = prob.a + reach + 1.0
+    re_hi = max(prob.a + reach, c) + 1.0
     im_hi = reach + 1.0
     shift = 0.0
     for _ in range(8):
@@ -337,42 +261,42 @@ def halfplane_count(prob: CharProblem, c: float) -> int:
     raise NumericalFailure("could not certify the half-plane count")
 
 
-def _crossing_frequency(prob: CharProblem) -> float:
-    """Frequency V where the running sum of chain real parts turns negative;
-    used only to size initial root requests."""
-    a, b, tau = prob.a, abs(prob.b), prob.tau
-    if b == 0.0:
-        return 0.1
-
-    def chain_re(v):
-        return np.log(b / np.hypot(a, v)) / tau
-
-    # sum of real roots, located by sign changes on a bounded scan; the
-    # lower margin shrinks with tau so e^{-tau p} stays in range
-    lo = min(a - b, -(math.log(max(b * tau, 1.0)) + 5.0) / tau, 0.0) - 1.0 / max(tau, 1.0)
-    hi = a + b + 1.0
-    ps = np.linspace(lo, hi, 512)
-    g = prob.h(ps).real
-    disc = 0.0
-    for i in np.where(np.sign(g[:-1]) != np.sign(g[1:]))[0]:
-        x0, x1 = ps[i], ps[i + 1]
-        for _ in range(60):
-            xm = 0.5 * (x0 + x1)
-            if np.sign(prob.h(xm).real) == np.sign(prob.h(x0).real):
-                x0 = xm
-            else:
-                x1 = xm
-        disc += max(0.5 * (x0 + x1), 0.0)
-
-    def S(V):
-        # pair density tau/(2 pi) per unit frequency, two roots per pair
-        vs = np.linspace(1e-6 * V, V, 400)
-        return disc + (tau / math.pi) * trapezoid(chain_re(vs), vs)
-
-    V = 0.5
-    while S(V) > 0.0 and V < 1e3:
-        V *= 1.4
-    return V
+def determined_roots(prob: CharProblem, *quantities: str) -> RootSet:
+    """Leading roots from one char_roots call, enough to determine each named
+    quantity ("unstable_count", "local_dimension"), each certified by
+    halfplane_count: the unstable count at c = 0, the local dimension at the
+    midpoint below the root where the partial sum turns negative.  Raises
+    NumericalFailure when a certificate disagrees.  With b = 0 the single
+    root p = a is returned as is.
+    """
+    if not quantities or not set(quantities) <= _QUANTITIES.keys():
+        raise InputError(f"quantities must be among {sorted(_QUANTITIES)}, got {quantities}")
+    if prob.b == 0.0:
+        return char_roots(prob, 1)
+    # chain roots at frequency v have real part below about log(|b|/v)/tau,
+    # tau/pi of them per unit frequency, and at most two real roots exceed
+    # zero, each by at most D/2; so the partial sums turn negative by the V
+    # with V (1 + log(|b|/V)) = -pi D
+    b, D = abs(prob.b), 2.0 * max(prob.a + abs(prob.b), 0.0)
+    V = b * math.exp(1.0 + lambertw(math.pi * D / (math.e * b)).real)
+    rs = char_roots(prob, int(prob.tau * V / math.pi) + 16)
+    re = rs.real_parts()
+    for q in quantities:
+        if q == "unstable_count":
+            c, n = 0.0, unstable_count(rs)
+        else:
+            neg = np.flatnonzero(np.cumsum(re) < 0.0)
+            lower = re[re < re[neg[0]]] if neg.size else re[:0]
+            if lower.size == 0:
+                raise NeedsMoreRootsError(f"local dimension undetermined at tau={prob.tau}")
+            c = 0.5 * (re[neg[0]] + lower[0])
+            n = int(np.sum(re > c))
+        certified = halfplane_count(prob, c)
+        if certified != n:
+            raise NumericalFailure(
+                f"{q}: {n} roots above Re p = {c!r}, the argument principle counts {certified}"
+            )
+    return rs
 
 
 def asymptotic_slope(
@@ -382,25 +306,20 @@ def asymptotic_slope(
 ) -> SlopeFit:
     """Least-squares slope (with intercept) of a per-tau spectral quantity.
 
-    quantity is "local_dimension" or "unstable_count".  Requires >= 8 grid
-    points spanning at least a decade; R^2 below 0.99 raises the
-    low-confidence flag.  Also reports slopes over the two uppermost
-    half-decades as a stability diagnostic.
+    quantity is "local_dimension" or "unstable_count", each value certified
+    by determined_roots.  Requires >= 8 grid points spanning at least a
+    decade; R^2 below 0.99 raises the low-confidence flag.  Also reports
+    slopes over the two uppermost half-decades as a stability diagnostic.
     """
     taus = np.asarray(sorted(float(t) for t in taus))
     if taus.size < 8:
         raise InputError(f"need at least 8 grid points, got {taus.size}")
     if taus[-1] < 10.0 * taus[0]:
         raise InputError("grid must span at least one decade")
-    evaluators = {"local_dimension": local_dimension, "unstable_count": unstable_count}
-    if quantity not in evaluators:
+    if quantity not in _QUANTITIES:
         raise InputError(f"unknown quantity {quantity!r}")
-    fn = evaluators[quantity]
-
-    vals = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        prob = prob_family(tau)
-        vals[i] = _evaluate_with_growth(prob, fn)
+    fn = _QUANTITIES[quantity]
+    vals = np.array([float(fn(determined_roots(prob_family(t), quantity))) for t in taus])
 
     slope, intercept, r2 = _fit_line(taus, vals)
     halves = []
@@ -418,26 +337,6 @@ def asymptotic_slope(
         taus=taus,
         values=vals,
         half_decade_slopes=(halves[0], halves[1]),
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_roots(a: float, b: float, tau: float, count: int) -> RootSet:
-    return char_roots(CharProblem(a, b, tau), count)
-
-
-def _evaluate_with_growth(prob: CharProblem, fn) -> float:
-    base = _crossing_frequency(prob) * prob.tau / math.pi
-    count = max(16, int(1.3 * base) + 16)
-    count = 64 * (count // 64 + 1)  # bucket so both quantities share the cache
-    for _ in range(7):
-        rs = _cached_roots(prob.a, prob.b, prob.tau, count)
-        try:
-            return float(fn(rs))
-        except NeedsMoreRootsError:
-            count = 64 * (int(count * 1.6) // 64 + 1)
-    raise NeedsMoreRootsError(
-        f"quantity still undetermined with {count} roots at tau={prob.tau}"
     )
 
 

@@ -263,7 +263,7 @@ def cmd_roots(args) -> int:
     if count is not None:
         rs = charroots.char_roots(prob, int(count))
     else:
-        rs = _roots_with_closure(prob)
+        rs = charroots.determined_roots(prob, "unstable_count", "local_dimension")
     w.comment(f"a {prob.a!r} b {prob.b!r} tau {prob.tau!r}")
     try:
         nu = charroots.unstable_count(rs)
@@ -287,21 +287,6 @@ def cmd_roots(args) -> int:
     )
     w.flush()
     return 0
-
-
-def _roots_with_closure(prob: charroots.CharProblem) -> charroots.RootSet:
-    """Enough roots that both the unstable count and the local dimension are
-    certified."""
-    count = 64
-    for _ in range(7):
-        rs = charroots.char_roots(prob, count)
-        try:
-            charroots.unstable_count(rs)
-            charroots.local_dimension(rs)
-            return rs
-        except NeedsMoreRootsError:
-            count *= 2
-    return rs
 
 
 # ---------------------------------------------------------------- simulate
@@ -568,9 +553,16 @@ def _suite_cocycle(seed: int):
         A = rng.normal(size=(n, n))
         coc = cocycle.MatrixCocycle((0,), lambda q: q, lambda q, t: expm(A * t), n, 1.0)
         m = int(rng.integers(1, n + 1))
-        # horizon short enough that the direct SVD oracle stays in range
         g = cocycle.volume_growth_qr(coc, 0, m, 5.0, 1.0)
-        direct = math.fsum(math.log(s) for s in np.linalg.svd(expm(A * 5.0), compute_uv=False)[:m])
+        # the SVD gets the small singular values of expm(5A) to an absolute,
+        # not relative, error, so a sum of their logs can miss the
+        # tolerance; the full volume is exact by Liouville's formula, and
+        # below full order the 2-norm of the m-th compound is the product
+        # of the m leading singular values
+        if m == n:
+            direct = 5.0 * float(np.trace(A))
+        else:
+            direct = math.log(np.linalg.norm(tensor.compound_multiplicative(expm(A * 5.0), m), 2))
         ok = ok and abs(g.log_omega - direct) <= 1e-6
         # full-dimension long horizon against determinant multiplicativity
         g_n = cocycle.volume_growth_qr(coc, 0, n, 20.0, 1.0)
@@ -745,8 +737,11 @@ def _sweep_cell(payload):
         return [tau, float(res.d_star)]
     if kind in ("local_dim", "unstable"):
         prob = _equilibrium_problem(opts)
-        fn = charroots.local_dimension if kind == "local_dim" else charroots.unstable_count
-        return [tau, float(charroots._evaluate_with_growth(prob, fn))]
+        if kind == "local_dim":
+            rs = charroots.determined_roots(prob, "local_dimension")
+            return [tau, float(charroots.local_dimension(rs))]
+        rs = charroots.determined_roots(prob, "unstable_count")
+        return [tau, float(charroots.unstable_count(rs))]
     if kind == "lyap":
         model = _build_model(opts)
         rep = dde.numerical_lyapunov_spectrum(

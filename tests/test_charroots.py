@@ -10,9 +10,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lyapdim import charroots as cr
-from lyapdim.errors import InputError, NeedsMoreRootsError
+from lyapdim.errors import InputError, NeedsMoreRootsError, NumericalFailure
 
 mpmath.mp.dps = 30
 
@@ -32,6 +34,27 @@ def lambertw_roots(a: float, b: float, tau: float, count: int) -> np.ndarray:
 
 def sort_roots(z: np.ndarray) -> np.ndarray:
     return z[np.lexsort((-z.imag, -z.real))]
+
+
+def mp_leading_roots(a: float, b: float, tau: float, count: int) -> np.ndarray:
+    """Like lambertw_roots, with z = tau b e^{-tau a} formed in mpmath, so it
+    holds where z leaves the double range."""
+    a_, tau_ = mpmath.mpf(a), mpmath.mpf(tau)
+    z = mpmath.mpf(b) * tau_ * mpmath.exp(-a_ * tau_)
+    ps = np.array(
+        [complex(a_ + mpmath.lambertw(z, k) / tau_) for k in range(-(count + 4), count + 5)]
+    )
+    return sort_roots(ps)[:count]
+
+
+def assert_leading_roots(got: np.ndarray, want: np.ndarray, tol) -> None:
+    """Same real parts in order, and every root near an oracle root; robust
+    to a swap of roots whose real parts agree to rounding."""
+    n = got.size
+    assert np.all(np.abs(np.sort(got.real)[::-1] - want.real[:n]) <= np.broadcast_to(tol, want.shape)[:n])
+    for g in got:
+        i = int(np.argmin(np.abs(want - g)))
+        assert abs(want[i] - g) <= np.broadcast_to(tol, want.shape)[i]
 
 
 PROBLEMS = [
@@ -117,6 +140,60 @@ def test_halfplane_count_matches_enumeration():
             assert cr.halfplane_count(cr.CharProblem(a, b, tau), c) == want
 
 
+@pytest.mark.parametrize("a, b", [(-0.1, -0.4), (0.25, -0.75), (1.0, -0.75)])
+@pytest.mark.parametrize("tau", [50.0, 125.0, 500.0])
+def test_halfplane_count_large_delay_against_lambertw(a, b, tau):
+    # e^{-tau p} turns with period 2 pi/tau along the contour; edges sampled
+    # at a fixed density alias at these delays and return wrong, even
+    # negative, counts
+    for c in (0.0, -1.5 / tau):
+        # Re p > c  <=>  |W| < R, and |Im W_k| > (2|k| - 2) pi for k != 0
+        R = abs(b) * tau * math.exp(-tau * c)
+        K = int(R / (2.0 * math.pi)) + 2
+        z = mpmath.mpf(b) * tau * mpmath.exp(-mpmath.mpf(a) * tau)
+        want = sum(
+            1 for k in range(-K, K + 1) if a + float(mpmath.re(mpmath.lambertw(z, k))) / tau > c
+        )
+        assert cr.halfplane_count(cr.CharProblem(a, b, tau), c) == want
+
+
+@pytest.mark.parametrize(
+    "a, b, tau, c, want",
+    [
+        (-0.1, -0.4, 125.0, 0.0, 16),
+        (0.25, -0.75, 50.0, -0.024, 40),
+        (1.0, -0.75, 125.0, -0.0124, 136),
+        # a + |b| e^{-tau c} + 1 < c: the enclosing rectangle turned backwards
+        (-2.25, -0.41, 14.25, 0.0, 0),
+    ],
+)
+def test_halfplane_count_regressions(a, b, tau, c, want):
+    assert cr.halfplane_count(cr.CharProblem(a, b, tau), c) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 1.5),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.5, 500.0),
+    st.floats(-2.0, 2.0),
+)
+def test_halfplane_count_matches_char_roots(a, b_mag, b_sign, tau, c_tau):
+    prob = cr.CharProblem(a, b_sign * b_mag, tau)
+    c = c_tau / tau
+    n = cr.halfplane_count(prob, c)
+    re = cr.char_roots(prob, n + 2).real_parts()
+    assume(np.min(np.abs(re - c)) > 1e-6)  # clear of the contour nudge
+    assert int(np.sum(re > c)) == n
+
+
+def test_negative_winding_raises():
+    # a clockwise rectangle around roots winds negatively
+    with pytest.raises(NumericalFailure):
+        cr._rect_winding(cr.CharProblem(0.5, 1.5, 3.0), 3.0, -0.5, -2.0, 2.0)
+
+
 def test_halfplane_count_counts_multiplicity():
     # double root at 0 contributes 2 to the count over Re > -0.5
     assert cr.halfplane_count(cr.CharProblem(1.0, -1.0, 1.0), -0.5) == 2
@@ -134,6 +211,86 @@ def test_unstable_count_frozen_and_uncertified():
     assert np.all(few.real_parts() > 0)
     with pytest.raises(NeedsMoreRootsError):
         cr.unstable_count(few)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(700.0, 1500.0),
+    st.floats(0.2, 2.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.05, 2.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_char_roots_log_space_against_mpmath(a_tau, a_mag, a_sign, b_mag, b_sign):
+    # |a| tau this large puts z = tau b e^{-tau a} outside the double range
+    a, tau, b = a_sign * a_mag, a_tau / a_mag, b_sign * b_mag
+    rs = cr.char_roots(cr.CharProblem(a, b, tau), 10)
+    want = mp_leading_roots(a, b, tau, 12)
+    assert_leading_roots(rs.roots, want, 1e-9 * (1.0 + np.abs(want)))
+    assert np.all(rs.residuals <= 1e-9 * (1.0 + np.abs(rs.roots)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.5, 20.0),
+    st.floats(-12.0, -2.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_char_roots_near_branch_point(a, tau, log_delta, side):
+    # z = -(1 + delta)/e: branches 0 and -1 split by about sqrt(2 |delta|)
+    b = -(1.0 + side * 10.0**log_delta) * math.exp(a * tau - 1.0) / tau
+    rs = cr.char_roots(cr.CharProblem(a, b, tau), 6)
+    want = mp_leading_roots(a, b, tau, 8)
+    # a relative rounding eps of z moves W by eps |W/(1 + W)|
+    eps_z = 16 * np.finfo(float).eps * (3.0 + abs(a) * tau)
+    w = tau * (want - a)
+    tol = 1e-12 * (1.0 + np.abs(want)) + eps_z * np.abs(w / (1.0 + w)) / tau
+    assert_leading_roots(rs.roots, want, tol)
+
+
+def test_unstable_count_slope_at_large_delay():
+    # delays the eigenvalue route could not reach: the unstable chain fills
+    # |Im p| < sqrt(b^2 - a^2), tau/pi roots per unit frequency
+    a, b = -0.1, -0.4
+    taus = np.logspace(3.0, 4.0, 8)
+    fit = cr.asymptotic_slope(lambda t: cr.CharProblem(a, b, t), "unstable_count", taus)
+    assert fit.slope == pytest.approx(math.sqrt(b * b - a * a) / math.pi, abs=1e-3)
+
+
+def test_determined_roots_certifies_both_quantities():
+    prob = cr.CharProblem(-0.1, -0.4, 22.0)
+    rs = cr.determined_roots(prob, "unstable_count", "local_dimension")
+    assert cr.unstable_count(rs) == 4
+    assert cr.local_dimension(rs) == pytest.approx(6.8729903, abs=1e-5)
+    # the single root of a delay-free problem is all there is
+    assert cr.determined_roots(cr.CharProblem(-0.7, 0.0, 5.0), "local_dimension").roots.tolist() == [-0.7 + 0j]
+    with pytest.raises(InputError):
+        cr.determined_roots(prob, "spectral_abscissa")
+    with pytest.raises(InputError):
+        cr.determined_roots(prob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-2.0, 0.5),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-1.0, 2.5),
+)
+def test_determined_roots_certifies_random_problems(a, log_b, b_sign, log_tau):
+    prob = cr.CharProblem(a, b_sign * 10.0**log_b, 10.0**log_tau)
+    rs = cr.determined_roots(prob, "unstable_count", "local_dimension")
+    assert cr.unstable_count(rs) == cr.halfplane_count(prob, 0.0)
+    assert cr.local_dimension(rs) >= 0.0
+
+
+def test_determined_roots_raises_on_disagreeing_certificate(monkeypatch):
+    prob = cr.CharProblem(-0.1, -0.4, 22.0)
+    monkeypatch.setattr(cr, "halfplane_count", lambda p, c: 5)
+    for q in ("unstable_count", "local_dimension"):
+        with pytest.raises(NumericalFailure):
+            cr.determined_roots(prob, q)
 
 
 def make_rootset(reals):

@@ -253,6 +253,14 @@ def test_verify_single_suite(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_cocycle_ill_conditioned_seed(capsys):
+    # the 7th matrix here has singular values of expm(5A) spanning 2e10; a
+    # reference summing logs of SVD values missed the 1e-6 tolerance
+    rc, out, _ = run_cli(["verify", "--suite", "cocycle", "--seed", "1858796044"], capsys)
+    assert rc == 0
+    assert all(l.startswith("PASS") for l in out.strip().split("\n"))
+
+
 def test_verify_unknown_suite(capsys):
     rc, _, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
     assert rc == 2
