@@ -1,5 +1,4 @@
-"""Chebyshev-Lobatto collocation primitives shared by the operator and
-root-finding modules.
+"""Chebyshev-Lobatto collocation primitives for the delay-operator module.
 
 Nodes are returned in ascending order on the requested interval; the
 differentiation matrix acts on values in that same order.

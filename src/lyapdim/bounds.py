@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import lambertw
 
+from .dde import _mg_fprime
 from .errors import InputError, NumericalFailure
 
 __all__ = [
@@ -188,12 +189,6 @@ def alpha_plus(m: int, eigen_sup: Sequence[float], kappa0: float, vdot_sup: floa
     K = int(np.sum(lam >= -kappa0))
     head = float(lam[: min(m, K)].sum())
     return vdot_sup + 0.5 * head - 0.5 * kappa0 * max(0, m - K)
-
-
-def _mg_fprime(y: np.ndarray, k: float) -> np.ndarray:
-    """Derivative of y / (1 + |y|^k) for y >= 0."""
-    yk = y**k
-    return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
 
 
 def mackey_glass_ball_radius(beta: float, gamma: float, k: float) -> float:

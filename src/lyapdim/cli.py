@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -126,75 +127,110 @@ class _Writer:
             sys.stdout.write(text)
 
 
+# ---------------------------------------------------------------- models
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One model as the subcommands see it.
+
+    params maps each parameter to its default, None where it is required.
+    Each role takes the resolved parameters with tau: bound and
+    scaled_bound give a bounds.DimensionBound, delay_model the
+    dde.DelayModel, and equilibria the states (0, +xbar, -xbar), or (0,)
+    where the symmetric pair does not exist.  A role left None is one the
+    model does not have.  reference pairs parameter values with the
+    published figures `bound` cites at them.
+    """
+
+    params: dict
+    bound: Callable | None = None
+    scaled_bound: Callable | None = None
+    delay_model: Callable | None = None
+    equilibria: Callable | None = None
+    reference: tuple = ()
+
+
+_MODELS = {
+    "mackey_glass": _Model(
+        dict(beta=None, gamma=None, k=None, lambda_mode="rough"),
+        bound=lambda p: bounds.mackey_glass_bound(
+            p["beta"], p["gamma"], p["k"], p["tau"], p["lambda_mode"]),
+        scaled_bound=lambda p: bounds.mackey_glass_scaled_bound(
+            p["beta"], p["gamma"], p["k"], p["tau"], p["lambda_mode"]),
+        delay_model=lambda p: dde.mackey_glass(p["beta"], p["gamma"], p["k"], p["tau"]),
+        equilibria=lambda p: dde.mackey_glass_equilibria(p["beta"], p["gamma"], p["k"]),
+        reference=(dict(beta=0.2, gamma=0.1, k=10.0, lambda_mode="rough"),
+                   "coefficient 0.9957, bound <= 0.9958*tau + 1"),
+    ),
+    "suarez_schopf": _Model(
+        dict(alpha=None, gamma=1.0, forcing=0.0),
+        bound=lambda p: bounds.suarez_schopf_bound(p["alpha"], p["gamma"], p["tau"]),
+        scaled_bound=lambda p: bounds.suarez_schopf_scaled_bound(p["alpha"], p["gamma"], p["tau"]),
+        delay_model=lambda p: dde.suarez_schopf(p["alpha"], p["tau"], p["forcing"], p["gamma"]),
+        equilibria=lambda p: dde.suarez_schopf_equilibria(p["alpha"], p["gamma"]),
+        reference=(dict(alpha=0.75, gamma=1.0, tau=1.596), "bound 6.675 unscaled, 5.603 rescaled"),
+    ),
+    "custom": _Model(
+        dict(a=None, b=None),
+        bound=lambda p: bounds.scalar_bound(bounds.BoundProblem(p["tau"], p["a"], p["b"])),
+    ),
+    "linear": _Model(
+        dict(a=None, b=None),
+        delay_model=lambda p: dde.linear_scalar(p["a"], p["b"], p["tau"]),
+    ),
+}
+
+# the flags every model subcommand takes; each model reads its own params
+_MODEL_KEYS = dict.fromkeys(("model", "beta", "gamma", "k", "alpha", "forcing", "a", "b", "tau"))
+
+
+def _model(opts: dict, role: str) -> tuple[_Model, dict]:
+    """The registry entry opts["model"] names, which must have the role, and
+    its parameters resolved as flag > config file > registry default."""
+    _require(opts, "model", "tau")
+    name = opts["model"]
+    entry = _MODELS.get(name)
+    if getattr(entry, role, None) is None:
+        what = "unknown model" if entry is None else f"no {role.replace('_', ' ')} for model"
+        have = ", ".join(n for n, e in _MODELS.items() if getattr(e, role) is not None)
+        raise InputError(f"{what} {name!r}; choose from {have}")
+    p = {key: default if opts.get(key) is None else opts[key] for key, default in entry.params.items()}
+    _require(p, *p)
+    try:
+        p = {key: v if isinstance(entry.params[key], str) else float(v) for key, v in p.items()}
+        p["tau"] = float(opts["tau"])
+    except ValueError as exc:
+        raise InputError(f"model parameters must be numbers: {exc}") from None
+    return entry, p
+
+
 # ---------------------------------------------------------------- bound
 
 
-_CLASSICAL_MG = {"beta": 0.2, "gamma": 0.1, "k": 10.0}
-_CLASSICAL_SS = {"alpha": 0.75, "gamma": 1.0, "tau": 1.596}
-
-
 def cmd_bound(args) -> int:
-    opts = _merge(
-        args,
-        dict(
-            model=None,
-            beta=None,
-            gamma=None,
-            k=None,
-            alpha=None,
-            a=None,
-            b=None,
-            tau=None,
-            scaled=False,
-            lambda_mode="rough",
-        ),
-    )
-    _require(opts, "model", "tau")
-    model = opts["model"]
-    tau = float(opts["tau"])
+    opts = _merge(args, dict(_MODEL_KEYS, scaled=False, lambda_mode=None))
+    role = "scaled_bound" if opts["scaled"] else "bound"
+    entry, p = _model(opts, role)
+    res = getattr(entry, role)(p)
     w = _Writer(args.output, args.format)
-    if model == "mackey_glass":
-        _require(opts, "beta", "gamma", "k")
-        beta, gamma, k = float(opts["beta"]), float(opts["gamma"]), float(opts["k"])
-        if opts["scaled"]:
-            res = bounds.mackey_glass_scaled_bound(beta, gamma, k, tau, opts["lambda_mode"])
-        else:
-            res = bounds.mackey_glass_bound(beta, gamma, k, tau, opts["lambda_mode"])
-        if (
-            opts["lambda_mode"] == "rough"
-            and all(math.isclose(v, _CLASSICAL_MG[p]) for p, v in
-                    (("beta", beta), ("gamma", gamma), ("k", k)))
-        ):
-            w.comment("reference: coefficient 0.9957, bound <= 0.9958*tau + 1")
-    elif model == "suarez_schopf":
-        _require(opts, "alpha", "gamma")
-        alpha, gamma = float(opts["alpha"]), float(opts["gamma"])
-        if opts["scaled"]:
-            res = bounds.suarez_schopf_scaled_bound(alpha, gamma, tau)
-        else:
-            res = bounds.suarez_schopf_bound(alpha, gamma, tau)
-        if all(
-            math.isclose(v, _CLASSICAL_SS[p])
-            for p, v in (("alpha", alpha), ("gamma", gamma), ("tau", tau))
-        ):
-            w.comment("reference: bound 6.675 unscaled, 5.603 rescaled")
-    elif model == "custom":
-        _require(opts, "a", "b")
-        prob = bounds.BoundProblem(tau, float(opts["a"]), float(opts["b"]))
-        res = bounds.scalar_bound(prob)
-    else:
-        raise InputError(f"unknown model {model!r}")
+    if entry.reference and all(
+        p[key] == v if isinstance(v, str) else math.isclose(p[key], v)
+        for key, v in entry.reference[0].items()
+    ):
+        w.comment(f"reference: {entry.reference[1]}")
+    tau = p["tau"]
     coeff = (res.d_star - 1.0) / tau if res.d_star > 0 else 0.0
     w.table(
         ["model", "tau", "d_star", "p_star", "kappa_opt", "scale_opt", "lambda_mode", "slope_per_tau", "provenance"],
         [[
-            model,
+            opts["model"],
             tau,
             float(res.d_star),
             float(res.p_star),
             float(res.kappa_opt),
             float(res.scale_opt) if res.scale_opt is not None else "",
-            opts["lambda_mode"] if model == "mackey_glass" else "",
+            p.get("lambda_mode", ""),
             float(coeff),
             res.provenance,
         ]],
@@ -206,52 +242,26 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------- roots
 
 
+_EQUILIBRIA = ("zero", "plus", "minus")
+
+
 def _equilibrium_problem(opts) -> charroots.CharProblem:
-    model = opts["model"]
-    tau = float(opts["tau"])
+    """Characteristic problem of the model linearized, through its own
+    Jacobian, at the equilibrium opts["equilibrium"]."""
+    entry, p = _model(opts, "equilibria")
     eq = opts["equilibrium"]
-    if model == "mackey_glass":
-        _require(opts, "beta", "gamma", "k")
-        beta, gamma, k = float(opts["beta"]), float(opts["gamma"]), float(opts["k"])
-        if eq in ("plus", "minus"):
-            if beta <= gamma:
-                raise InputError("symmetric equilibria require beta > gamma")
-            xbar = (beta / gamma - 1.0) ** (1.0 / k)
-            yk = xbar**k
-            fprime = (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
-            return charroots.CharProblem(-gamma, beta * fprime, tau)
-        if eq == "zero":
-            return charroots.CharProblem(-gamma, beta, tau)
+    if eq not in _EQUILIBRIA:
         raise InputError(f"unknown equilibrium {eq!r}")
-    if model == "suarez_schopf":
-        _require(opts, "alpha", "gamma")
-        alpha, gamma = float(opts["alpha"]), float(opts["gamma"])
-        if eq in ("plus", "minus"):
-            if gamma <= alpha:
-                raise InputError("symmetric equilibria require gamma > alpha")
-            return charroots.CharProblem(3.0 * alpha - 2.0 * gamma, -alpha, tau)
-        if eq == "zero":
-            return charroots.CharProblem(gamma, -alpha, tau)
-        raise InputError(f"unknown equilibrium {eq!r}")
-    raise InputError(f"unknown model {model!r}")
+    states, i = entry.equilibria(p), _EQUILIBRIA.index(eq)
+    if i >= len(states):
+        raise InputError(f"{opts['model']} has no {eq!r} equilibrium at these parameters")
+    x = np.array([states[i]])
+    J0, Jd = entry.delay_model(p).jac(0.0, x, x)
+    return charroots.CharProblem(J0.item(), Jd.item(), p["tau"])
 
 
 def cmd_roots(args) -> int:
-    opts = _merge(
-        args,
-        dict(
-            model=None,
-            beta=None,
-            gamma=None,
-            k=None,
-            alpha=None,
-            a=None,
-            b=None,
-            tau=None,
-            equilibrium="plus",
-            count=None,
-        ),
-    )
+    opts = _merge(args, dict(_MODEL_KEYS, equilibrium="plus", count=None))
     _require(opts, "tau")
     if opts["model"]:
         prob = _equilibrium_problem(opts)
@@ -293,20 +303,8 @@ def cmd_roots(args) -> int:
 
 
 def _build_model(opts) -> dde.DelayModel:
-    model = opts["model"]
-    tau = float(opts["tau"])
-    if model == "mackey_glass":
-        _require(opts, "beta", "gamma", "k")
-        return dde.mackey_glass(float(opts["beta"]), float(opts["gamma"]), float(opts["k"]), tau)
-    if model == "suarez_schopf":
-        _require(opts, "alpha")
-        gamma = float(opts["gamma"]) if opts["gamma"] is not None else 1.0
-        forcing = float(opts["forcing"]) if opts.get("forcing") is not None else 0.0
-        return dde.suarez_schopf(float(opts["alpha"]), tau, forcing, gamma)
-    if model == "linear":
-        _require(opts, "a", "b")
-        return dde.linear_scalar(float(opts["a"]), float(opts["b"]), tau)
-    raise InputError(f"unknown model {model!r}")
+    entry, p = _model(opts, "delay_model")
+    return entry.delay_model(p)
 
 
 def _build_history(spec: str, model: dde.DelayModel, seed: int) -> dde.HistorySegment:
@@ -323,23 +321,7 @@ def _build_history(spec: str, model: dde.DelayModel, seed: int) -> dde.HistorySe
 
 
 def cmd_simulate(args) -> int:
-    opts = _merge(
-        args,
-        dict(
-            model=None,
-            beta=None,
-            gamma=None,
-            k=None,
-            alpha=None,
-            forcing=None,
-            a=None,
-            b=None,
-            tau=None,
-            T=None,
-            dt=None,
-            history="const:0.5",
-        ),
-    )
+    opts = _merge(args, dict(_MODEL_KEYS, T=None, dt=None, history="const:0.5"))
     _require(opts, "model", "tau", "T")
     model = _build_model(opts)
     dt = float(opts["dt"]) if opts["dt"] is not None else model.tau / 128.0
@@ -362,26 +344,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lyap(args) -> int:
-    opts = _merge(
-        args,
-        dict(
-            model=None,
-            beta=None,
-            gamma=None,
-            k=None,
-            alpha=None,
-            forcing=None,
-            a=None,
-            b=None,
-            tau=None,
-            m=6,
-            N=64,
-            burn_in=None,
-            horizon=None,
-            dt=None,
-        ),
-    )
-    _require(opts, "model", "tau")
+    opts = _merge(args, dict(_MODEL_KEYS, m=6, N=64, burn_in=None, horizon=None, dt=None))
     model = _build_model(opts)
     tau = model.tau
     burn_in = float(opts["burn_in"]) if opts["burn_in"] is not None else 50.0 * tau
@@ -724,17 +687,8 @@ def _sweep_cell(payload):
     kind, opts, tau, seed = payload
     opts = dict(opts, tau=tau)
     if kind == "bound":
-        model = opts["model"]
-        if model == "mackey_glass":
-            res = bounds.mackey_glass_bound(
-                float(opts["beta"]), float(opts["gamma"]), float(opts["k"]), tau,
-                opts.get("lambda_mode") or "rough",
-            )
-        elif model == "suarez_schopf":
-            res = bounds.suarez_schopf_bound(float(opts["alpha"]), float(opts["gamma"] or 1.0), tau)
-        else:
-            res = bounds.scalar_bound(bounds.BoundProblem(tau, float(opts["a"]), float(opts["b"])))
-        return [tau, float(res.d_star)]
+        entry, p = _model(opts, "bound")
+        return [tau, float(entry.bound(p).d_star)]
     if kind in ("local_dim", "unstable"):
         prob = _equilibrium_problem(opts)
         if kind == "local_dim":
@@ -754,20 +708,8 @@ def _sweep_cell(payload):
 def cmd_sweep(args) -> int:
     opts = _merge(
         args,
-        dict(
-            model=None,
-            beta=None,
-            gamma=None,
-            k=None,
-            alpha=None,
-            a=None,
-            b=None,
-            equilibrium="plus",
-            quantity="bound",
-            tau_range=None,
-            lambda_mode=None,
-            m=None,
-        ),
+        dict(_MODEL_KEYS, equilibrium="plus", quantity="bound", tau_range=None, lambda_mode=None,
+             m=None, jobs=1),
     )
     _require(opts, "model", "tau_range")
     taus = _parse_range(str(opts["tau_range"]))
@@ -776,7 +718,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"unknown quantity {kind!r}")
     payloads = [(kind, {k: v for k, v in opts.items() if k != "tau_range"}, float(t), args.seed)
                 for t in taus]
-    jobs = args.jobs or int(os.environ.get("LYAPDIM_JOBS", "1"))
+    jobs = int(opts["jobs"])
     if jobs > 1:
         import multiprocessing as mp
 
@@ -814,39 +756,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=None)
 
-    model_flags = dict(
-        model=str, beta=float, gamma=float, k=float, alpha=float, forcing=float,
-        a=float, b=float, tau=float,
-    )
+    def model_flags(p):
+        common(p)
+        p.add_argument("--model")
+        for name in _MODEL_KEYS:
+            if name != "model":
+                p.add_argument(f"--{name}", type=float)
 
     p = sub.add_parser("bound", help="analytic dimension bound")
-    common(p)
-    for name, typ in model_flags.items():
-        p.add_argument(f"--{name}", type=typ)
+    model_flags(p)
     p.add_argument("--scaled", action="store_const", const=True, default=None)
     p.add_argument("--lambda-mode", dest="lambda_mode", choices=("rough", "tight"))
 
     p = sub.add_parser("roots", help="characteristic root table")
-    common(p)
-    for name, typ in model_flags.items():
-        p.add_argument(f"--{name}", type=typ)
+    model_flags(p)
     p.add_argument("--equilibrium", choices=("plus", "minus", "zero"))
     p.add_argument("--count", type=int)
 
     p = sub.add_parser("simulate", help="integrate a model, emit trajectory CSV")
-    common(p)
-    for name, typ in model_flags.items():
-        p.add_argument(f"--{name}", type=typ)
+    model_flags(p)
     p.add_argument("--T", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--history")
 
     p = sub.add_parser("lyap", help="numerical Lyapunov spectrum")
-    common(p)
-    for name, typ in model_flags.items():
-        p.add_argument(f"--{name}", type=typ)
+    model_flags(p)
     p.add_argument("--m", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=float)
@@ -858,14 +793,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite")
 
     p = sub.add_parser("sweep", help="quantity over a tau grid")
-    common(p)
-    for name, typ in model_flags.items():
-        p.add_argument(f"--{name}", type=typ)
+    model_flags(p)
     p.add_argument("--equilibrium", choices=("plus", "minus", "zero"))
     p.add_argument("--quantity")
     p.add_argument("--tau-range", dest="tau_range")
     p.add_argument("--lambda-mode", dest="lambda_mode", choices=("rough", "tight"))
     p.add_argument("--m", type=int)
+    p.add_argument("--jobs", type=int)
 
     return ap
 

@@ -10,7 +10,6 @@ numerical Lyapunov spectra via windowed QR accumulation.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,8 +35,6 @@ __all__ = [
     "linearized_monodromy",
     "numerical_lyapunov_spectrum",
     "write_trajectory_csv",
-    "write_monodromy",
-    "read_monodromy",
 ]
 
 
@@ -73,22 +70,24 @@ class SpectrumReport(NamedTuple):
     ky: float | None
 
 
+def _mg_fprime(y, k: float):
+    """Derivative F' of the Mackey-Glass feedback F(y) = y / (1 + |y|^k)."""
+    yk = np.abs(y) ** k
+    return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
+
+
 def mackey_glass(beta: float, gamma: float, k: float, tau: float) -> DelayModel:
     """x' = -gamma x + beta xd / (1 + |xd|^k)."""
 
     def F(y):
         return y / (1.0 + np.abs(y) ** k)
 
-    def Fp(y):
-        yk = np.abs(y) ** k
-        return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
-
     def rhs(t, x, xd):
         return -gamma * x + beta * F(xd)
 
     def jac(t, x, xd):
         one = np.ones_like(np.asarray(x, dtype=float))
-        return -gamma * one[..., None], (beta * Fp(xd))[..., None]
+        return -gamma * one[..., None], (beta * _mg_fprime(xd, k))[..., None]
 
     return DelayModel(1, tau, rhs, jac, None, "mackey-glass")
 
@@ -227,19 +226,19 @@ class HistorySegment:
         vals = np.tile(x, (M + 1, 1))
         return cls(tau, vals, np.zeros_like(vals))
 
-    def eval(self, theta: float) -> np.ndarray:
+    def _locate(self, theta: float):
+        if not -self.tau - 1e-9 <= theta <= 1e-9:
+            raise InputError(f"theta={theta} lies outside the history range [{-self.tau}, 0]")
         h = self.tau / self.intervals
         g = (theta + self.tau) / h
         i = min(max(int(math.floor(g)), 0), self.intervals - 1)
-        u = g - i
-        return _hermite(u, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1], h)
+        return g - i, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1], h
+
+    def eval(self, theta: float) -> np.ndarray:
+        return _hermite(*self._locate(theta))
 
     def eval_deriv(self, theta: float) -> np.ndarray:
-        h = self.tau / self.intervals
-        g = (theta + self.tau) / h
-        i = min(max(int(math.floor(g)), 0), self.intervals - 1)
-        u = g - i
-        return _hermite_deriv(u, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1], h)
+        return _hermite_deriv(*self._locate(theta))
 
     def resampled(self, M: int) -> "HistorySegment":
         if M == self.intervals:
@@ -284,6 +283,8 @@ class Trajectory:
         return self.values[i], d0, self.values[i + 1], d1
 
     def value(self, t: float) -> np.ndarray:
+        if not self.t_start - 1e-9 <= t <= self.t_end + 1e-9:
+            raise InputError(f"t={t} lies outside the stored range [{self.t_start}, {self.t_end}]")
         g = (t - self.t_start) / self.dt
         i = min(max(int(math.floor(g + 1e-12)), 0), self.values.shape[0] - 2)
         u = g - i
@@ -336,7 +337,7 @@ def _integrate_batch(model: DelayModel, vals0, ders0, steps: int, dt: float):
         k4 = model.rhs(t + dt, v + dt * k3, vals[node - m + 1])
         vals[node + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(vals[node + 1])):
-            raise NumericalFailure(f"nonfinite state at t = {t + dt:.6g}")
+            raise NumericalFailure(f"nonfinite state at t = {t + dt:.6g}", t=t + dt)
     ders[K - 1] = model.rhs(steps * dt, vals[K - 1], vals[K - 1 - m])
     return vals, ders, hist_end
 
@@ -417,21 +418,13 @@ def invariant_ball_check(
     try:
         vals, _, _ = _integrate_batch(model, vals0, ders0, steps, dt)
     except NumericalFailure as exc:
-        return BallReport(False, math.inf, None, _blowup_time(exc))
+        return BallReport(False, math.inf, None, exc.t)
     norms = np.abs(vals).max(axis=2)  # sup norm per (node, sample)
     max_norm = float(norms.max())
     if max_norm <= R * (1.0 + 1e-6):
         return BallReport(True, max_norm, None, None)
     node, samp = np.unravel_index(int(np.argmax(norms > R * (1.0 + 1e-6))), norms.shape)
     return BallReport(False, max_norm, int(samp), float(node * dt - model.tau))
-
-
-def _blowup_time(exc: NumericalFailure) -> float | None:
-    msg = str(exc)
-    try:
-        return float(msg.rsplit("=", 1)[1])
-    except (IndexError, ValueError):
-        return None
 
 
 def _trig_eval(coef, theta, tau, deriv=False):
@@ -607,29 +600,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             t = traj.t_start + i * traj.dt
             row = ",".join(repr(float(v)) for v in traj.values[i])
             fh.write(f"{t!r},{row}\n")
-
-
-_MAGIC = b"LYPD"
-
-
-def write_monodromy(path, matrix: np.ndarray, n: int, N: int) -> None:
-    M = np.ascontiguousarray(matrix, dtype="<f8")
-    if M.shape != (n * (N + 1), n * (N + 1)):
-        raise InputError(f"matrix shape {M.shape} does not match n={n}, N={N}")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", n, N))
-        fh.write(M.tobytes())
-
-
-def read_monodromy(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise InputError(f"bad magic {magic!r}")
-        n, N = struct.unpack("<II", fh.read(8))
-        size = n * (N + 1)
-        data = np.frombuffer(fh.read(size * size * 8), dtype="<f8")
-        if data.size != size * size:
-            raise InputError("truncated monodromy dump")
-        return data.reshape(size, size).copy(), int(n), int(N)

@@ -15,4 +15,9 @@ class NeedsMoreRootsError(RuntimeError):
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when an iteration diverges or a state becomes nonfinite."""
+    """Raised when an iteration diverges or a state becomes nonfinite; t is
+    the model time at which it did, where there is one."""
+
+    def __init__(self, *args, t: float | None = None):
+        super().__init__(*args)
+        self.t = t

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, output formats,
 exit codes, determinism, worker pools."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lyapdim import bounds, charroots, cli
+from lyapdim import bounds, charroots, cli, cocycle, dde, delayop, tensor
 
 
 def run_cli(argv, capsys):
@@ -299,17 +300,18 @@ def test_sweep_local_dim_with_slope(capsys):
     assert slope == pytest.approx(0.294, abs=0.015)
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+def test_sweep_parallel_matches_serial(tmp_path):
     argv = ["sweep", "--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1",
             "--k", "10", "--equilibrium", "plus", "--quantity", "unstable",
             "--tau-range", "10:60:6:log"]
-    serial, parallel, via_env = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "e.csv"
+    serial, parallel, via_cfg = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "c.csv"
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 3\n")
     assert cli.main(argv + ["--output", str(serial)]) == 0
     assert cli.main(argv + ["--output", str(parallel), "--jobs", "2"]) == 0
-    monkeypatch.setenv("LYAPDIM_JOBS", "3")
-    assert cli.main(argv + ["--output", str(via_env)]) == 0
+    assert cli.main(argv + ["--output", str(via_cfg), "--config", str(cfg)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
-    assert serial.read_bytes() == via_env.read_bytes()
+    assert serial.read_bytes() == via_cfg.read_bytes()
 
 
 def test_sweep_validation(capsys):
@@ -323,6 +325,74 @@ def test_sweep_validation(capsys):
     assert rc == 2
 
 
+# ------------------------------------------------------------- model registry
+
+
+_SS = ["--model", "suarez_schopf", "--alpha", "0.75"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a gamma of 0 reaches the bound, which rejects it
+        (["sweep", *_SS, "--gamma", "0", "--quantity", "bound", "--tau-range", "1:2:3:lin"],
+         "gamma"),
+        (["bound", *_SS, "--gamma", "0", "--tau", "1.596"], "gamma"),
+        (["sweep", "--model", "mackey", "--a", "0.8", "--b", "0.164025", "--quantity", "bound",
+          "--tau-range", "1:2:3:lin"], "unknown model 'mackey'"),
+        (["sweep", "--model", "foo", "--quantity", "bound", "--tau-range", "1:2:3:lin"],
+         "unknown model 'foo'"),
+        (["sweep", "--model", "mackey_glass", "--quantity", "bound", "--tau-range", "1:2:3:lin"],
+         "--beta"),
+        (["bound", "--model", "custom", "--a", "0.8", "--b", "0.164025", "--tau", "2",
+          "--scaled"], "no scaled bound for model 'custom'"),
+        (["simulate", "--model", "custom", "--a", "0", "--b", "-1", "--tau", "1", "--T", "1"],
+         "no delay model for model 'custom'"),
+        (["roots", "--model", "linear", "--a", "-0.1", "--b", "-0.4", "--tau", "22"],
+         "no equilibria for model 'linear'"),
+    ],
+    ids=["sweep-gamma-0", "bound-gamma-0", "sweep-misspelt-model", "sweep-unknown-model",
+         "sweep-missing-params", "bound-custom-scaled", "simulate-custom", "roots-linear"],
+)
+def test_model_input_outside_the_registry_fails_loudly(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == "" and message in err and "Traceback" not in err
+
+
+def test_suarez_schopf_gamma_defaults_to_one_everywhere(capsys):
+    ss = [*_SS, "--tau", "1.596"]
+    for argv in (
+        ["bound", *ss],
+        ["roots", *ss, "--equilibrium", "plus", "--count", "4"],
+        ["simulate", *ss, "--T", "3.192"],
+        ["sweep", *_SS, "--quantity", "bound", "--tau-range", "1:2:3:lin"],
+    ):
+        implicit = run_cli(argv, capsys)
+        assert implicit == run_cli(argv + ["--gamma", "1"], capsys)
+        assert implicit[0] == 0, argv
+
+
+def test_registry_linearization_matches_closed_forms():
+    for beta, gamma, k in itertools.product((0.2, 0.5), (0.1, 0.15), (6.0, 10.0)):
+        base = dict(model="mackey_glass", beta=beta, gamma=gamma, k=k, tau=22.0)
+        xbar = (beta / gamma - 1.0) ** (1.0 / k)
+        yk = xbar**k
+        fprime = (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
+        for eq, want in (("plus", (-gamma, beta * fprime)), ("minus", (-gamma, beta * fprime)),
+                         ("zero", (-gamma, beta))):
+            prob = cli._equilibrium_problem(dict(base, equilibrium=eq))
+            assert (prob.a, prob.b) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert prob.tau == 22.0
+    for alpha, gamma in itertools.product((0.3, 0.6, 0.75), (1.0, 1.3, 2.0)):
+        base = dict(model="suarez_schopf", alpha=alpha, gamma=gamma, tau=1.596)
+        for eq, want in (("plus", (3.0 * alpha - 2.0 * gamma, -alpha)),
+                         ("minus", (3.0 * alpha - 2.0 * gamma, -alpha)),
+                         ("zero", (gamma, -alpha))):
+            prob = cli._equilibrium_problem(dict(base, equilibrium=eq))
+            assert (prob.a, prob.b) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 # ------------------------------------------------------------- plumbing
 
 
@@ -332,6 +402,20 @@ def test_bad_subcommand_and_help(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "bound" in out and "sweep" in out
+
+
+def test_jobs_is_a_sweep_flag(capsys):
+    rc, _, err = run_cli(["bound", "--model", "custom", "--a", "0.8", "--b", "0.164025",
+                          "--tau", "2", "--jobs", "2"], capsys)
+    assert rc == 2
+    assert "--jobs" in err
+
+
+def test_module_exports_exist():
+    # the benchmark tracer wraps every __all__ name, so a stale one breaks it
+    for module in (bounds, charroots, cocycle, dde, delayop, tensor):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_console_script_installed():

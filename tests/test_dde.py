@@ -11,7 +11,7 @@ import pytest
 
 from lyapdim import charroots as cr
 from lyapdim import dde
-from lyapdim.errors import InputError
+from lyapdim.errors import InputError, NumericalFailure
 
 
 def eig_sorted(M_or_vals):
@@ -152,6 +152,25 @@ def test_trajectory_segment_at():
         traj.segment_at(3.5)  # beyond the end
 
 
+def test_lookups_reject_times_outside_the_stored_range():
+    # extrapolating the last Hermite interval to t=24 gives 0.9538 where the
+    # trajectory integrated to T=44 reads 0.9709, so lookups outside the
+    # stored range must refuse rather than answer
+    mg = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
+    hist = dde.HistorySegment.constant(0.5, 22.0)
+    traj = dde.integrate(mg, hist, 22.0, 22.0 / 128)
+    assert np.isfinite(traj.value(-22.0)).all() and np.isfinite(traj.value(22.0)).all()
+    for t in (24.0, -22.5):
+        with pytest.raises(InputError):
+            traj.value(t)
+    assert hist.eval(-22.0)[0] == 0.5 and hist.eval_deriv(0.0)[0] == 0.0
+    for theta in (5.0, -22.5):
+        with pytest.raises(InputError):
+            hist.eval(theta)
+        with pytest.raises(InputError):
+            hist.eval_deriv(theta)
+
+
 def test_write_trajectory_csv(tmp_path):
     model = dde.linear_scalar(-1.0, 0.0, 1.0)
     traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 1.0, 1.0 / 16)
@@ -184,6 +203,20 @@ def test_invariant_ball_detects_escape():
     assert rep.max_norm > 1.0
     assert rep.witness_sample is not None
     assert rep.witness_time is not None and rep.witness_time >= 0.0
+
+
+def test_invariant_ball_blowup_time_is_the_failing_step():
+    model = dde.linear_scalar(5.0, 0.0, 1.0)
+    hist = dde.HistorySegment.constant(1.0, 1.0)
+    dt = 1.0 / 64
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = dde.invariant_ball_check(model, 10.0, 0, 200.0, histories=[hist])
+        steps = round(rep.witness_time / dt)
+        assert np.isfinite(dde.integrate(model, hist, (steps - 1) * dt, dt).values).all()
+        with pytest.raises(NumericalFailure) as exc:
+            dde.integrate(model, hist, steps * dt, dt)
+    assert not rep.passed and rep.max_norm == math.inf
+    assert rep.witness_time == exc.value.t == steps * dt
 
 
 def test_invariant_ball_explicit_histories():
