@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import lambertw
 
 from .dde import _mg_fprime
 from .errors import InputError, NumericalFailure
@@ -74,21 +73,55 @@ class DimensionBound:
     provenance: str = ""
 
 
+# W_0(x) = sum_k mu_k q^k, q = sqrt(2 (1 + e x)), about the branch point
+# x = -1/e (Corless et al. 1996, eq. 4.22; highest power first); W_{-1} is the
+# same series at -q
+_BRANCH_POINT_SERIES = (
+    -221.0 / 8505.0, 769.0 / 17280.0, -43.0 / 540.0, 11.0 / 72.0, -1.0 / 3.0, 1.0, -1.0
+)
+
+
 def lambert_root(c: float) -> float:
     """Unique real root p >= -1 of p e^{p+1} = c, which is W_0(c/e).
 
     The map is monotone increasing on [-1, inf) with range [-1, inf), so the
-    root exists iff c >= -1.
+    root exists iff c >= -1.  Halley's method on p e^{p+1} - c, from the
+    branch-point series where 1 + c < 0.3 (returned as is within q < 1e-2,
+    where it is exact to rounding and the iteration is ill-conditioned), a
+    log1p guess for moderate c and L1 - L2 + L2/L1 for large c.
     """
     c = float(c)
     if not math.isfinite(c):
         raise InputError(f"c must be finite, got {c}")
     if c < -1.0:
         raise InputError(f"p e^(p+1) = c has no real root p >= -1 for c = {c} < -1")
-    if c == -1.0:
-        return -1.0
-    # c/e may round below the branch point, where W_0 leaves the real line
-    return max(float(lambertw(c / math.e).real), -1.0)
+    if 1.0 + c < 0.3:
+        q = math.sqrt(2.0 * (1.0 + c))  # 1 + c is exact here
+        w = 0.0
+        for mu in _BRANCH_POINT_SERIES:
+            w = w * q + mu
+        if q < 1e-2:
+            return max(w, -1.0)
+    elif c < 3.0 * math.e:
+        l = math.log1p(c / math.e)
+        w = l * (1.0 - math.log1p(l) / (2.0 + l))
+    else:
+        l1 = math.log(c) - 1.0
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(100):
+        if w >= 0.0:  # the e^{-w} form, so that exp cannot overflow
+            f = w - c * math.exp(-w - 1.0)
+            w_next = w - f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
+        else:
+            ew = math.exp(w + 1.0)
+            f = w * ew - c
+            w_next = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if abs(w_next - w) <= 1e-8 * abs(w_next):
+            # rounding can put the root of c near -1 just below the branch point
+            return max(w_next, -1.0)
+        w = w_next
+    raise NumericalFailure(f"Halley's method did not converge for c = {c}")
 
 
 def scalar_bound(prob: BoundProblem) -> DimensionBound:

@@ -13,13 +13,14 @@ least-squares slope fits of either quantity against the delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import lambertw
 
+from .bounds import _BRANCH_POINT_SERIES, lambert_root
 from .errors import InputError, NeedsMoreRootsError, NumericalFailure
 
 __all__ = [
@@ -36,12 +37,17 @@ __all__ = [
 
 _LOG_SPACE_BEYOND = 600.0  # |log z| above which z itself over- or underflows
 _EPS = np.finfo(float).eps
-# W_{-1}(z) = sum_k mu_k q^k, q = -sqrt(2 (1 + e z)), near the branch point
-# z = -1/e, where scipy's branch -1 loses accuracy (highest power first)
-_BRANCH_POINT_SERIES = (
-    -221.0 / 8505.0, 769.0 / 17280.0, -43.0 / 540.0, 11.0 / 72.0, -1.0 / 3.0, 1.0, -1.0
-)
 _MAX_EDGE_SAMPLES = 300000
+
+
+@functools.cache
+def _lambertw():
+    """scipy's vectorised complex Lambert W, imported on first use: only
+    root finding needs complex branches, and importing scipy.special costs
+    about as much as the rest of a lyapdim process's start-up."""
+    from scipy.special import lambertw
+
+    return lambertw
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,12 @@ def _central_w(a: float, b: float, tau: float, log_abs_z: float):
         d = 1.0 + math.e * z
         if abs(d) <= 8.0 * _EPS * (1.0 + abs(a) * tau):
             return [-1.0, -1.0], 2, []  # z = -1/e to rounding: w = -1 is double
-        w0 = complex(lambertw(z, 0))
+        w0 = complex(_lambertw()(z, 0))
         if b < 0.0 and d > 0.0:
+            # W_{-1} is the branch-point series at -q; scipy's branch -1
+            # loses accuracy near z = -1/e
             q = math.sqrt(2.0 * d)
-            wm1 = np.polyval(_BRANCH_POINT_SERIES, -q) if q < 1e-2 else lambertw(z, -1).real
+            wm1 = np.polyval(_BRANCH_POINT_SERIES, -q) if q < 1e-2 else _lambertw()(z, -1).real
             return [w0.real, float(wm1)], 1, []
     return ([w0.real], 1, []) if w0.imag == 0.0 else ([], 1, [w0])
 
@@ -156,11 +164,15 @@ def char_roots(prob: CharProblem, count: int) -> RootSet:
         if abs(log_abs_z) > _LOG_SPACE_BEYOND:
             chain = _log_space_w(log_abs_z + 1j * (math.pi * (b < 0.0) + 2.0 * math.pi * ks))
         else:
-            chain = lambertw(b * tau * math.exp(-a * tau), ks)
+            chain = _lambertw()(b * tau * math.exp(-a * tau), ks)
         if not np.isfinite(chain).all():  # a NaN would never pass the check below
             raise NumericalFailure(f"Lambert W failed on a branch up to {K + 1} at {prob}")
-        up =np.concatenate([np.asarray(upper, dtype=complex), chain[:-1]])
-        roots = a + np.concatenate([np.asarray(real, dtype=complex), up, up.conj()]) / tau
+        up = np.concatenate([np.asarray(upper, dtype=complex), chain[:-1]]) / tau  # p - a
+        # Re p from |p - a| = |b| e^{-tau Re p}: a + Re w/tau cancels where
+        # Re p is small, with rounding errors that share a sign over the
+        # hundreds of roots local_dimension sums; |b|/|p - a| shares none
+        up.real = np.log(abs(b) / np.abs(up)) / tau
+        roots = np.concatenate([a + np.asarray(real, dtype=complex) / tau, up, up.conj()])
         order = np.lexsort((-roots.imag, -roots.real))[:count]
         if order.size == count and a + chain[-1].real / tau < roots[order[-1]].real:
             break
@@ -177,14 +189,15 @@ def local_dimension(rs: RootSet) -> float:
         raise NeedsMoreRootsError("empty root set")
     if re[0] < 0.0:
         return 0.0
-    cums = np.cumsum(re)
-    neg = np.where(cums < 0.0)[0]
+    neg = np.flatnonzero(np.cumsum(re) < 0.0)
     if neg.size == 0:
         raise NeedsMoreRootsError(
             f"partial sums still nonnegative after {re.size} roots; request more"
         )
     j = int(neg[0])  # S_{j} (1-based j) >= 0, S_{j+1} < 0
-    return j + cums[j - 1] / abs(re[j]) if j > 0 else 0.0
+    # S_j is a small difference of hundreds of terms, and |Re p_{j+1}| can
+    # be small too: sum it exactly rounded
+    return j + math.fsum(re[:j].tolist()) / abs(re[j]) if j > 0 else 0.0
 
 
 def unstable_count(rs: RootSet) -> int:
@@ -204,7 +217,10 @@ def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
     """Zeros of the characteristic function inside a rectangle, by tracking
     the phase of h along the boundary with adaptive refinement.  e^{-tau p}
     turns once per 2 pi/tau along an edge, so each edge starts with four
-    samples per half-turn."""
+    samples per half-turn, an odd number of them so that one is at the
+    midpoint: with im_lo = -im_hi the left edge's midpoint is on the real
+    axis, where a double root (or a close real pair) turns the phase by
+    2 pi, which samples on either side only would read as no turn at all."""
     corners = [
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
@@ -214,20 +230,20 @@ def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
     ]
     total = 0.0
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        size = max(64, math.ceil(4.0 * prob.tau * abs(z1 - z0) / math.pi))
+        size = max(64, math.ceil(4.0 * prob.tau * abs(z1 - z0) / math.pi)) | 1
         if size > _MAX_EDGE_SAMPLES:
             raise NumericalFailure(f"contour edge needs {size} samples")
-        t = np.linspace(0.0, 1.0, size)
+        t = np.arange(size) / (size - 1)  # midpoint exactly 0.5
         for _ in range(40):
             pts = z0 + t * (z1 - z0)
             vals = prob.h(pts)
-            if np.any(np.abs(vals) < 1e-12):
+            if (np.abs(vals) < 1e-12).any():
                 raise NumericalFailure("characteristic root on the contour")
             dphi = np.angle(vals[1:] / vals[:-1])
-            if np.all(np.abs(dphi) < 1.5):
+            bad = np.abs(dphi) >= 1.5
+            if not bad.any():
                 total += dphi.sum()
                 break
-            bad = np.abs(dphi) >= 1.5
             mids = 0.5 * (t[:-1][bad] + t[1:][bad])
             t = np.sort(np.concatenate([t, mids]))
             if t.size > _MAX_EDGE_SAMPLES:
@@ -278,7 +294,7 @@ def determined_roots(prob: CharProblem, *quantities: str) -> RootSet:
     # zero, each by at most D/2; so the partial sums turn negative by the V
     # with V (1 + log(|b|/V)) = -pi D
     b, D = abs(prob.b), 2.0 * max(prob.a + abs(prob.b), 0.0)
-    V = b * math.exp(1.0 + lambertw(math.pi * D / (math.e * b)).real)
+    V = b * math.exp(1.0 + lambert_root(math.pi * D / b))  # W_0(pi D/(e |b|))
     rs = char_roots(prob, int(prob.tau * V / math.pi) + 16)
     re = rs.real_parts()
     for q in quantities:

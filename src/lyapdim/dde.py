@@ -539,8 +539,8 @@ def numerical_lyapunov_spectrum(
     dt = tau / 128.0 if dt is None else dt
     windows = max(4, round(horizon / tau))
     warmup = 2
-    if m > model.n * (N + 1):
-        raise InputError("m exceeds the discretized dimension")
+    if not 1 <= m <= model.n * (N + 1):
+        raise InputError(f"need 1 <= m <= {model.n * (N + 1)} (the discretized dimension), got {m}")
     rng = np.random.default_rng(seed)
     if h0 is None:
         coef = rng.normal(size=(model.n, 4, 2))

@@ -51,6 +51,32 @@ def test_lambert_root_property(c):
     assert got * math.exp(got + 1.0) == pytest.approx(c, abs=1e-9 * (1.0 + abs(c)))
 
 
+def test_lambert_root_dense_grid_against_mpmath():
+    # relative error against 30 digits over c in -1 + 10^[-15, -1], [-1, 5]
+    # and 10^[-8, 300]; within 1e-2 of the branch point c = -1 the root is
+    # ill-conditioned (dW/dc ~ 1/sqrt(2 (1 + c))), and elsewhere the worst
+    # error is no worse than scipy's W_0 on the same grid
+    from scipy.special import lambertw
+
+    cs = np.concatenate([
+        -1.0 + 10.0 ** np.linspace(-15.0, -1.0, 301),
+        np.linspace(-1.0, 5.0, 301),
+        10.0 ** np.linspace(-8.0, 300.0, 301),
+    ])
+    ours, theirs = [], []
+    with mpmath.workdps(30):
+        for c in map(float, cs):
+            want = mpmath.lambertw(mpmath.mpf(c) / mpmath.e)
+            scale = abs(want) if want != 0 else mpmath.mpf(1)
+            scipy_w = max(float(lambertw(c / math.e).real), -1.0)
+            ours.append(float(abs(bounds.lambert_root(c) - want) / scale))
+            theirs.append(float(abs(scipy_w - want) / scale))
+    ours, theirs = np.array(ours), np.array(theirs)
+    away = 1.0 + cs >= 1e-2
+    assert ours.max() <= 1e-13
+    assert ours[away].max() <= theirs[away].max()
+
+
 def test_lambert_root_classical_value():
     # c = a/b at the classical chaotic parameter set of the delayed
     # feedback oscillator: a = 0.8, b = (beta * Lambda)^2 = (0.2 * 2.025)^2

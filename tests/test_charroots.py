@@ -165,6 +165,11 @@ def test_halfplane_count_large_delay_against_lambertw(a, b, tau):
         (1.0, -0.75, 125.0, -0.0124, 136),
         # a + |b| e^{-tau c} + 1 < c: the enclosing rectangle turned backwards
         (-2.25, -0.41, 14.25, 0.0, 0),
+        # the double root p = 0 of p = 1 - e^{-p} on or near the left edge
+        # turns the phase by 2 pi between two samples (all three read 1)
+        (1.0, -1.0, 1.0, 0.0, 0),
+        (1.0, -1.0, 1.0, -1e-3, 2),
+        (1.0, -1.0, 1.0, 1e-3, 0),
     ],
 )
 def test_halfplane_count_regressions(a, b, tau, c, want):
@@ -285,6 +290,13 @@ def test_determined_roots_certifies_random_problems(a, log_b, b_sign, log_tau):
     assert cr.local_dimension(rs) >= 0.0
 
 
+def test_determined_roots_with_a_double_root_at_zero():
+    # p = 1 - e^{-p}: z = -1/e, and p = 0 is a double root on the line Re p = 0
+    rs = cr.determined_roots(cr.CharProblem(1.0, -1.0, 1.0), "unstable_count", "local_dimension")
+    assert cr.unstable_count(rs) == 0
+    assert cr.local_dimension(rs) == 2.0
+
+
 def test_determined_roots_raises_on_disagreeing_certificate(monkeypatch):
     prob = cr.CharProblem(-0.1, -0.4, 22.0)
     monkeypatch.setattr(cr, "halfplane_count", lambda p, c: 5)
@@ -307,6 +319,24 @@ def test_local_dimension_formula():
     assert cr.local_dimension(make_rootset([-0.3, -1.0])) == 0.0
     with pytest.raises(NeedsMoreRootsError):
         cr.local_dimension(make_rootset([1.0, -0.2, -0.3]))  # sums stay >= 0
+
+
+def test_local_dimension_at_large_delay_against_mpmath():
+    # about 540 real parts near zero are summed and divided by |Re p| of
+    # about 3e-3; a + Re W_k/tau cancels, and its rounding errors share a
+    # sign, which put the sum 4.4e-12 off
+    a, b, tau = 1.0, -0.75, 500.0
+    rs = cr.determined_roots(cr.CharProblem(a, b, tau), "local_dimension")
+    got = cr.local_dimension(rs)
+    a_, tau_ = mpmath.mpf(a), mpmath.mpf(tau)
+    z = mpmath.mpf(b) * tau_ * mpmath.exp(-a_ * tau_)
+    K = int(got) // 2 + 8
+    re = sorted((mpmath.re(a_ + mpmath.lambertw(z, k) / tau_) for k in range(-K, K + 1)), reverse=True)
+    s, j = mpmath.mpf(0), 0
+    while s + re[j] >= 0:
+        s, j = s + re[j], j + 1
+    want = j + s / abs(re[j])
+    assert abs(got - want) <= 1e-13
 
 
 def test_local_dimension_frozen_values():

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -111,6 +112,40 @@ def test_config_precedence(tmp_path, capsys):
     assert "key=value" in err
     rc, _, _ = run_cli(["bound", "--config", str(tmp_path / "absent.cfg")], capsys)
     assert rc == 2
+
+
+_LINEAR = ["--model", "linear", "--a", "-1", "--b", "0.5", "--tau", "1"]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("T", ["simulate", *_LINEAR]),
+        ("dt", ["simulate", *_LINEAR, "--T", "2"]),
+        ("m", ["lyap", *_LINEAR, "--N", "8"]),
+        ("N", ["lyap", *_LINEAR, "--m", "2"]),
+        ("count", ["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22"]),
+        ("burn_in", ["lyap", *_LINEAR, "--m", "2", "--N", "8"]),
+        ("horizon", ["lyap", *_LINEAR, "--m", "2", "--N", "8"]),
+        ("jobs", ["sweep", "--model", "custom", "--a", "0.8", "--b", "0.164025",
+                  "--quantity", "bound", "--tau-range", "1:2:3:lin"]),
+    ],
+)
+def test_malformed_config_value_exits_2(key, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = abc\n")
+    rc, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert rc == 2
+    what = "a number" if key in ("T", "dt", "burn_in", "horizon") else "an integer"
+    assert out == "" and err == f"error: {key} must be {what}, got 'abc'\n"
+
+
+def test_fractional_integer_setting_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 2.5\n")
+    rc, out, err = run_cli(["lyap", *_LINEAR, "--N", "8", "--config", str(cfg)], capsys)
+    assert rc == 2
+    assert out == "" and err == "error: m must be an integer, got 2.5\n"
 
 
 def test_bound_determinism(tmp_path):
@@ -243,6 +278,18 @@ def test_lyap_stable_linear(capsys):
     assert float(rows[0][1]) < 0.0
 
 
+def test_lyap_m_zero_exits_2():
+    res = subprocess.run(
+        [sys.executable, "-m", "lyapdim.cli", "lyap", *_LINEAR, "--m", "0", "--N", "8",
+         "--burn-in", "3", "--horizon", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: need 1 <= m <= 9") and "Traceback" not in res.stderr
+
+
 # ------------------------------------------------------------- verify
 
 
@@ -260,6 +307,32 @@ def test_verify_cocycle_ill_conditioned_seed(capsys):
     rc, out, _ = run_cli(["verify", "--suite", "cocycle", "--seed", "1858796044"], capsys)
     assert rc == 0
     assert all(l.startswith("PASS") for l in out.strip().split("\n"))
+
+
+def test_suite_expm_matches_scipy():
+    # the cocycle suite's random matrices: ten n x n with n in 2..4, and
+    # five 0.5 (A - 1.5 I) with A 3 x 3; where scipy's expm is more than
+    # 1e-13 off (seeds 22, 25 and 29 among these), the numpy one must be
+    # closer than it to 30-digit mpmath
+    from scipy.linalg import expm
+
+    def rel(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(10):
+            n = int(rng.integers(2, 5))
+            mats.append(rng.normal(size=(n, n)))
+            rng.integers(1, n + 1)
+        mats += [0.5 * (rng.normal(size=(3, 3)) - 1.5 * np.eye(3)) for _ in range(5)]
+        for A in mats:
+            got, want = cli._expm(A), expm(A)
+            if rel(got, want) > 1e-13:
+                with mpmath.workdps(30):
+                    exact = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+                assert rel(got, exact) < min(rel(want, exact), 1e-13)
 
 
 def test_verify_unknown_suite(capsys):
@@ -427,3 +500,52 @@ def test_console_script_installed():
     )
     assert res.returncode == 0
     assert res.stdout.startswith("# lyapdim v1")
+
+
+_MG = ["--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10"]
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from lyapdim.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = main(argv) if argv else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy")), out.getvalue()]))
+"""
+
+
+def _scipy_after(argv):
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bound", *_MG, "--tau", "22"],
+        ["bound", *_MG, "--tau", "22.5", "--scaled"],
+        ["sweep", *_MG, "--quantity", "bound", "--tau-range", "10:100:4:log"],
+        ["simulate", *_MG, "--tau", "2", "--T", "4"],
+        ["lyap", *_LINEAR, "--m", "2", "--N", "8", "--burn-in", "3", "--horizon", "4"],
+        ["verify", "--suite", "cocycle"],
+        ["verify", "--suite", "bounds"],
+        ["verify", "--suite", "dde"],
+    ],
+    ids=["import", "bound", "bound-scaled", "sweep-bound", "simulate", "lyap",
+         "verify-cocycle", "verify-bounds", "verify-dde"],
+)
+def test_commands_without_root_finding_never_import_scipy(argv):
+    rc, scipy_modules, _ = _scipy_after(argv)
+    assert rc == 0
+    assert scipy_modules == []
+
+
+def test_roots_loads_scipy_on_demand():
+    rc, scipy_modules, out = _scipy_after(["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22"])
+    assert rc == 0
+    assert "scipy.special" in scipy_modules
+    comments, cols, rows = parse_csv(out)
+    assert "N_u 4" in comments and cols == ["index", "re", "im", "residual"] and rows

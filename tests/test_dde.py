@@ -296,3 +296,6 @@ def test_spectrum_validation():
     model = dde.linear_scalar(-1.0, 0.5, 1.0)
     with pytest.raises(InputError):
         dde.numerical_lyapunov_spectrum(model, 1.0, 8.0, m=200, N=10)
+    for m in (0, -1):
+        with pytest.raises(InputError):
+            dde.numerical_lyapunov_spectrum(model, 1.0, 8.0, m=m, N=10)
