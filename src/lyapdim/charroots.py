@@ -6,13 +6,15 @@ branch k of the Lambert W function (Corless et al., "On the Lambert W
 function", Adv. Comput. Math. 5, 1996).  Branches are enumerated until the
 left-out ones lie below the requested roots; where |log z| is too large for
 z to be formed, W_k solves w + log w = log z + 2 pi i k instead.  Counts are
-certified independently by an argument-principle contour count.  On top of
+certified independently by the argument principle, sampling h only on one
+segment of the line Re p = c: Rouche's bound closes the contour.  On top of
 the root sets: Kaplan-Yorke local dimensions, unstable-direction counts, and
 least-squares slope fits of either quantity against the delay.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -37,7 +39,8 @@ __all__ = [
 
 _LOG_SPACE_BEYOND = 600.0  # |log z| above which z itself over- or underflows
 _EPS = np.finfo(float).eps
-_MAX_EDGE_SAMPLES = 300000
+_MAX_SEGMENT_SAMPLES = 300000
+_ROUCHE_THETA = 0.9  # bound on |b e^{-tau p}/(a - p)| off the sampled segment
 
 
 @functools.cache
@@ -85,19 +88,33 @@ class RootSet:
         return self.roots.real
 
 
-@dataclass
+@dataclass(slots=True)
 class SlopeFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    low_confidence: bool
+    """Least-squares line through (taus, values).  taus is the caller's grid,
+    sorted only if need be; one array per fit holds statistics and values."""
+
     taus: np.ndarray
-    values: np.ndarray
-    half_decade_slopes: tuple[float, float] = (math.nan, math.nan)
+    fit: np.ndarray  # slope, intercept, R^2, then the values
+
+    slope = property(lambda self: float(self.fit[0]))
+    intercept = property(lambda self: float(self.fit[1]))
+    r_squared = property(lambda self: float(self.fit[2]))
+    values = property(lambda self: self.fit[3:])
+    low_confidence = property(lambda self: self.r_squared < 0.99)
+
+    @property
+    def half_decade_slopes(self) -> tuple[float, float]:
+        """Slopes over the two uppermost half-decades (nan below two points)."""
+        top, r, slopes = self.taus[-1], math.sqrt(10.0), []
+        for hi, lo in ((top, top / r), (top / r, top / 10.0)):
+            m = (self.taus >= lo - 1e-9) & (self.taus <= hi + 1e-9)
+            slopes.append(_fit_line(self.taus[m], self.values[m])[0] if m.sum() >= 2 else math.nan)
+        return slopes[0], slopes[1]
 
     @property
     def half_decade_spread(self) -> float:
-        return abs(self.half_decade_slopes[0] - self.half_decade_slopes[1])
+        lo, hi = self.half_decade_slopes
+        return abs(lo - hi)
 
 
 def _log_space_w(L) -> np.ndarray:
@@ -213,67 +230,64 @@ def unstable_count(rs: RootSet) -> int:
 _QUANTITIES = {"local_dimension": local_dimension, "unstable_count": unstable_count}
 
 
-def _rect_winding(prob: CharProblem, re_lo, re_hi, im_lo, im_hi) -> int:
-    """Zeros of the characteristic function inside a rectangle, by tracking
-    the phase of h along the boundary with adaptive refinement.  e^{-tau p}
-    turns once per 2 pi/tau along an edge, so each edge starts with four
-    samples per half-turn, an odd number of them so that one is at the
-    midpoint: with im_lo = -im_hi the left edge's midpoint is on the real
-    axis, where a double root (or a close real pair) turns the phase by
-    2 pi, which samples on either side only would read as no turn at all."""
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-        complex(re_lo, im_lo),
-    ]
-    total = 0.0
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        size = max(64, math.ceil(4.0 * prob.tau * abs(z1 - z0) / math.pi)) | 1
-        if size > _MAX_EDGE_SAMPLES:
-            raise NumericalFailure(f"contour edge needs {size} samples")
-        t = np.arange(size) / (size - 1)  # midpoint exactly 0.5
-        for _ in range(40):
-            pts = z0 + t * (z1 - z0)
-            vals = prob.h(pts)
-            if (np.abs(vals) < 1e-12).any():
-                raise NumericalFailure("characteristic root on the contour")
-            dphi = np.angle(vals[1:] / vals[:-1])
-            bad = np.abs(dphi) >= 1.5
-            if not bad.any():
-                total += dphi.sum()
-                break
-            mids = 0.5 * (t[:-1][bad] + t[1:][bad])
-            t = np.sort(np.concatenate([t, mids]))
-            if t.size > _MAX_EDGE_SAMPLES:
-                raise NumericalFailure("contour refinement did not settle")
-        else:
-            raise NumericalFailure("contour refinement did not settle")
-    w = total / (2.0 * math.pi)
-    n = int(round(w))
-    if abs(w - n) > 1e-6 or n < 0:
-        raise NumericalFailure(f"winding number {w} is not a nonnegative integer")
-    return n
+def _segment_phase(prob: CharProblem, c: float, Y: float) -> float:
+    """Phase change of h along c -> c + iY: four samples per half-turn of
+    e^{-tau p}, bisecting every step whose phase moves by 1.5 or more.  A
+    sample within a few rounding errors of zero means a root on the segment."""
+    size = max(64, math.ceil(4.0 * prob.tau * Y / math.pi))
+    if size > _MAX_SEGMENT_SAMPLES:
+        raise NumericalFailure(f"contour segment needs {size} samples")
+    floor = 16.0 * _EPS * (abs(prob.a) + abs(prob.b) * math.exp(-prob.tau * c) + abs(c) + Y)
+    t = np.linspace(0.0, 1.0, size)
+    for _ in range(40):
+        vals = prob.h(c + 1j * Y * t)
+        if (np.abs(vals) <= floor).any():
+            raise NumericalFailure("characteristic root on the contour")
+        dphi = np.angle(vals[1:] / vals[:-1])
+        bad = np.abs(dphi) >= 1.5
+        if not bad.any():
+            return float(dphi.sum())
+        t = np.sort(np.concatenate([t, 0.5 * (t[:-1][bad] + t[1:][bad])]))
+        if t.size > _MAX_SEGMENT_SAMPLES:
+            break
+    raise NumericalFailure("contour refinement did not settle")
 
 
 def halfplane_count(prob: CharProblem, c: float) -> int:
     """Exact number of characteristic roots with Re p > c (multiplicity
-    counted), via the argument principle on an enclosing rectangle."""
-    if prob.b == 0.0:
-        return int(prob.a > c)
-    # any root with Re p >= c obeys |p - a| <= |b| e^{-tau c}; when
-    # a + |b| e^{-tau c} < c there is none, and the rectangle stays to the
-    # right of c so that it is not traversed backwards
-    reach = abs(prob.b) * math.exp(-prob.tau * c)
-    re_hi = max(prob.a + reach, c) + 1.0
-    im_hi = reach + 1.0
-    shift = 0.0
+    counted), by the argument principle on one sampled segment.
+
+    With theta = _ROUCHE_THETA, every root right of c has |p - a| <
+    |b| e^{-tau c} = theta rho, so the segment |Im p| <= Y = sqrt(rho^2 -
+    (a - c)^2) of Re p = c and the arc of |p - a| = rho right of it enclose
+    them all.  On the arc h = (a - p)(1 + x) with |x| = |b e^{-tau p}/(a - p)|
+    <= theta < 1 (Rouche's bound), so its phase there follows from the
+    endpoints.  h has real coefficients, so the count is the phase change
+    along the upper half over pi; only c + iY -> c is sampled, and Y = 0
+    gives [c < a].  A root on the segment nudges c right by 3e-7, at most
+    eight times.
+    """
+    a, b, tau = prob.a, prob.b, prob.tau
+    if b == 0.0:
+        return int(a > c)
     for _ in range(8):
+        rho = abs(b) * math.exp(-tau * c) / _ROUCHE_THETA
+        Y = math.sqrt(max(rho * rho - (a - c) ** 2, 0.0))
+        if Y == 0.0:
+            return int(c < a)  # h winds as a - p along the whole circle
+        # the arc from a + rho to c + iY turns a - p from -pi to atan2(-Y, a - c)
+        # and 1 + x from 0 to its principal argument at c + iY
+        top = complex(c, Y)
+        arc = math.pi + math.atan2(-Y, a - c) + cmath.phase(1.0 + b * cmath.exp(-tau * top) / (a - top))
         try:
-            return _rect_winding(prob, c + shift, re_hi, -im_hi, im_hi)
+            w = (arc - _segment_phase(prob, c, Y)) / math.pi
         except NumericalFailure:
-            shift += 3e-7  # nudge off a root sitting on the boundary
+            c += 3e-7  # nudge off a root sitting on the segment
+            continue
+        n = round(w)
+        if abs(w - n) > 1e-6 or n < 0:
+            raise NumericalFailure(f"winding number {w} is not a nonnegative integer")
+        return n
     raise NumericalFailure("could not certify the half-plane count")
 
 
@@ -327,7 +341,9 @@ def asymptotic_slope(
     decade; R^2 below 0.99 raises the low-confidence flag.  Also reports
     slopes over the two uppermost half-decades as a stability diagnostic.
     """
-    taus = np.asarray(sorted(float(t) for t in taus))
+    taus = np.asarray(taus, dtype=float)
+    if (np.diff(taus) < 0.0).any():
+        taus = np.sort(taus)
     if taus.size < 8:
         raise InputError(f"need at least 8 grid points, got {taus.size}")
     if taus[-1] < 10.0 * taus[0]:
@@ -336,24 +352,7 @@ def asymptotic_slope(
         raise InputError(f"unknown quantity {quantity!r}")
     fn = _QUANTITIES[quantity]
     vals = np.array([float(fn(determined_roots(prob_family(t), quantity))) for t in taus])
-
-    slope, intercept, r2 = _fit_line(taus, vals)
-    halves = []
-    for hi, lo in ((taus[-1], taus[-1] / math.sqrt(10.0)), (taus[-1] / math.sqrt(10.0), taus[-1] / 10.0)):
-        mask = (taus >= lo - 1e-9) & (taus <= hi + 1e-9)
-        if mask.sum() >= 2:
-            halves.append(_fit_line(taus[mask], vals[mask])[0])
-        else:
-            halves.append(math.nan)
-    return SlopeFit(
-        slope,
-        intercept,
-        r2,
-        low_confidence=r2 < 0.99,
-        taus=taus,
-        values=vals,
-        half_decade_slopes=(halves[0], halves[1]),
-    )
+    return SlopeFit(taus, np.concatenate([_fit_line(taus, vals), vals]))
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):

@@ -163,17 +163,32 @@ def test_halfplane_count_large_delay_against_lambertw(a, b, tau):
         (-0.1, -0.4, 125.0, 0.0, 16),
         (0.25, -0.75, 50.0, -0.024, 40),
         (1.0, -0.75, 125.0, -0.0124, 136),
-        # a + |b| e^{-tau c} + 1 < c: the enclosing rectangle turned backwards
+        # Y = 0, nothing to sample: a + |b| e^{-tau c} < c, no root reaches
+        # the line; and a right of c, where the one root near a counts
         (-2.25, -0.41, 14.25, 0.0, 0),
-        # the double root p = 0 of p = 1 - e^{-p} on or near the left edge
-        # turns the phase by 2 pi between two samples (all three read 1)
+        (1.0, 0.1, 5.0, 0.0, 1),
+        # the double root p = 0 of p = 1 - e^{-p} on or near the real end of
+        # the segment turns the phase by 2 pi within a short stretch
         (1.0, -1.0, 1.0, 0.0, 0),
         (1.0, -1.0, 1.0, -1e-3, 2),
         (1.0, -1.0, 1.0, 1e-3, 0),
+        # a on the line Re p = c: the factor a - p vanishes on the segment
+        (0.0, -1.0, 10.0, 0.0, 4),
+        # sampling the whole enclosing rectangle needed more than the cap
+        (0.71314858775206, 0.9750817822991673, 9872.151301872756, -2.884541698468667e-4, 52801),
     ],
 )
 def test_halfplane_count_regressions(a, b, tau, c, want):
-    assert cr.halfplane_count(cr.CharProblem(a, b, tau), c) == want
+    prob = cr.CharProblem(a, b, tau)
+    assert cr.halfplane_count(prob, c) == want
+    assert int(np.sum(cr.char_roots(prob, want + 4).real_parts() > c)) == want
+
+
+def assert_count_matches_char_roots(prob, c):
+    n = cr.halfplane_count(prob, c)
+    re = cr.char_roots(prob, n + 2).real_parts()
+    assume(np.min(np.abs(re - c)) > 1e-6)  # clear of the contour nudge
+    assert int(np.sum(re > c)) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,18 +200,50 @@ def test_halfplane_count_regressions(a, b, tau, c, want):
     st.floats(-2.0, 2.0),
 )
 def test_halfplane_count_matches_char_roots(a, b_mag, b_sign, tau, c_tau):
-    prob = cr.CharProblem(a, b_sign * b_mag, tau)
-    c = c_tau / tau
-    n = cr.halfplane_count(prob, c)
-    re = cr.char_roots(prob, n + 2).real_parts()
-    assume(np.min(np.abs(re - c)) > 1e-6)  # clear of the contour nudge
-    assert int(np.sum(re > c)) == n
+    assert_count_matches_char_roots(cr.CharProblem(a, b_sign * b_mag, tau), c_tau / tau)
 
 
-def test_negative_winding_raises():
-    # a clockwise rectangle around roots winds negatively
+def test_non_integer_or_negative_winding_raises(monkeypatch):
+    # the phase sampled along the segment must close to a nonnegative
+    # integer count; a wrong phase is reported, never rounded into a count
+    prob = cr.CharProblem(0.5, 1.5, 3.0)
+    assert cr.halfplane_count(prob, 0.0) == 1
+    sampled = cr._segment_phase
+    monkeypatch.setattr(cr, "_segment_phase", lambda *args: sampled(*args) + 0.5)
     with pytest.raises(NumericalFailure):
-        cr._rect_winding(cr.CharProblem(0.5, 1.5, 3.0), 3.0, -0.5, -2.0, 2.0)
+        cr.halfplane_count(prob, 0.0)
+    monkeypatch.setattr(cr, "_segment_phase", lambda *args: sampled(*args) + 6.0 * math.pi)
+    with pytest.raises(NumericalFailure):
+        cr.halfplane_count(prob, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(700.0, 1500.0),
+    st.floats(0.2, 2.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.05, 2.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-3.0, 3.0),
+)
+def test_halfplane_count_log_space_against_char_roots(a_tau, a_mag, a_sign, b_mag, b_sign, c_tau):
+    # |a| tau this large puts the roots on the log-space branches
+    a, tau = a_sign * a_mag, a_tau / a_mag
+    assert_count_matches_char_roots(cr.CharProblem(a, b_sign * b_mag, tau), c_tau / tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.5, 20.0),
+    st.floats(-12.0, -2.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-1.0, 1.0),
+)
+def test_halfplane_count_near_branch_point(a, tau, log_delta, side, offset):
+    # z = -(1 + delta)/e: a near-double root at a - 1/tau, c within 1/tau of it
+    b = -(1.0 + side * 10.0**log_delta) * math.exp(a * tau - 1.0) / tau
+    assert_count_matches_char_roots(cr.CharProblem(a, b, tau), a + (offset - 1.0) / tau)
 
 
 def test_halfplane_count_counts_multiplicity():
