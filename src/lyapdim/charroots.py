@@ -235,8 +235,6 @@ def _segment_phase(prob: CharProblem, c: float, Y: float) -> float:
     e^{-tau p}, bisecting every step whose phase moves by 1.5 or more.  A
     sample within a few rounding errors of zero means a root on the segment."""
     size = max(64, math.ceil(4.0 * prob.tau * Y / math.pi))
-    if size > _MAX_SEGMENT_SAMPLES:
-        raise NumericalFailure(f"contour segment needs {size} samples")
     floor = 16.0 * _EPS * (abs(prob.a) + abs(prob.b) * math.exp(-prob.tau * c) + abs(c) + Y)
     t = np.linspace(0.0, 1.0, size)
     for _ in range(40):
@@ -271,10 +269,15 @@ def halfplane_count(prob: CharProblem, c: float) -> int:
     if b == 0.0:
         return int(a > c)
     for _ in range(8):
-        rho = abs(b) * math.exp(-tau * c) / _ROUCHE_THETA
+        try:
+            rho = abs(b) * math.exp(-tau * c) / _ROUCHE_THETA
+        except OverflowError:
+            rho = math.inf
         Y = math.sqrt(max(rho * rho - (a - c) ** 2, 0.0))
         if Y == 0.0:
             return int(c < a)  # h winds as a - p along the whole circle
+        if 4.0 * tau * Y / math.pi > _MAX_SEGMENT_SAMPLES:
+            raise NumericalFailure(f"contour segment of height {Y:.3g} needs too many samples")
         # the arc from a + rho to c + iY turns a - p from -pi to atan2(-Y, a - c)
         # and 1 + x from 0 to its principal argument at c + iY
         top = complex(c, Y)

@@ -9,7 +9,7 @@ trace-formula checker, and the finite-base variational principle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ class VolumeGrowth(NamedTuple):
     log_omega: float
     per_step: np.ndarray
     collapsed: bool
+    log_r: np.ndarray
 
 
 @dataclass
@@ -66,7 +67,6 @@ class ExponentReport:
     m: int
     lambdas: np.ndarray
     horizon: float
-    per_step_sums: list = field(default_factory=list)
 
 
 class MetricResult(NamedTuple):
@@ -119,30 +119,44 @@ def _seed_frame(coc: MatrixCocycle, q, m: int, dt: float, steps: int) -> np.ndar
 
 
 def volume_growth_qr(coc: MatrixCocycle, q, m: int, T: float, dt: float) -> VolumeGrowth:
-    """log omega_m(fiber(q, T)) accumulated by QR re-orthonormalization.
+    """log omega_k(fiber(q, T)) for every k <= m, accumulated by one pass of
+    QR re-orthonormalization.
 
-    per_step holds the log-volume increment of each dt step; a collapsing
-    frame (vanishing R diagonal) yields -inf with the collapsed flag.
+    log_r[i, k] is log|R_kk| at step i.  Householder QR treats the leading
+    columns of the nested seed frame first, so the column sums of log_r[:, :k]
+    make the order-k run: log omega_k = log_r[:, :k].sum() (Benettin et al.,
+    1980).  per_step (row sums), log_omega and collapsed are for order m.  A
+    vanishing or nonfinite R_jj drops columns j.. of the frame: they read
+    -inf from that step on, and the orders below j carry on unchanged.
     """
     if not 1 <= m <= coc.dim:
         raise InputError(f"need 1 <= m <= {coc.dim}, got {m}")
     steps = _steps_of(T, dt)
     sub = _substeps_of(dt, coc.h)
     Q = _seed_frame(coc, q, m, dt, steps)
-    per_step = np.zeros(steps)
-    collapsed = False
+    log_r = np.full((steps, m), -math.inf)
     for i in range(steps):
         Z = coc.fiber(q, dt) @ Q
         q = coc.advance(q, sub)
         Q, R = np.linalg.qr(Z)
         d = np.abs(np.diag(R))
-        if np.any(d == 0.0) or not np.all(np.isfinite(d)):
-            per_step[i:] = -math.inf
-            collapsed = True
+        ok = (d > 0.0) & np.isfinite(d)
+        k = d.size if ok.all() else int(np.argmin(ok))
+        log_r[i, :k] = np.log(d[:k])
+        Q = Q[:, :k]
+        if k == 0:
             break
-        per_step[i] = float(np.sum(np.log(d)))
-    total = float(per_step.sum())
-    return VolumeGrowth(total, per_step, collapsed)
+    per_step = log_r.sum(axis=1)
+    return VolumeGrowth(float(per_step.sum()), per_step, Q.shape[1] < m, log_r)
+
+
+def _log_omega_table(coc: MatrixCocycle, m: int, T: float, dt: float) -> np.ndarray:
+    """log omega_k over [0, T] for k = 0..m (columns) at each base point
+    (rows), one order-m pass per base point."""
+    table = np.zeros((len(coc.base_points), m + 1))
+    for i, q in enumerate(coc.base_points):
+        table[i, 1:] = np.cumsum(volume_growth_qr(coc, q, m, T, dt).log_r.sum(axis=0))
+    return table
 
 
 def uniform_exponents(
@@ -152,44 +166,33 @@ def uniform_exponents(
 
     The sum of the first m exponents is the max over base points of the
     m-volume growth rate; individual exponents come out by differencing, so
-    they need not be ordered.
+    they need not be ordered.  One order-m_max pass per base point gives
+    every order.
     """
     if not 1 <= m_max <= coc.dim:
         raise InputError(f"need 1 <= m_max <= {coc.dim}, got {m_max}")
     dt = coc.h if dt is None else dt
-    sums = np.zeros(m_max + 1)
-    argmax_steps: list = []
-    for m in range(1, m_max + 1):
-        best = -math.inf
-        best_steps = None
-        for q in coc.base_points:
-            g = volume_growth_qr(coc, q, m, T, dt)
-            if g.log_omega > best:
-                best, best_steps = g.log_omega, g.per_step
-        sums[m] = best
-        argmax_steps.append(best_steps)
-    lambdas = np.diff(sums) / T
-    return ExponentReport(m_max, lambdas, T, argmax_steps)
+    sums = _log_omega_table(coc, m_max, T, dt).max(axis=0)
+    return ExponentReport(m_max, np.diff(sums) / T, T)
 
 
 def kaplan_yorke(lambdas: Sequence[float], n: int) -> float:
     """Kaplan-Yorke formula on exponents given for m = 1..n.
 
-    Largest m with nonnegative partial sum, plus the interpolated fraction;
-    0 when the top exponent is negative, n when even the full sum stays
-    nonnegative (the fractional part vanishes since nothing lies below).
+    j + S_j/|lambda_{j+1}| at the first negative partial sum S_{j+1}, so the
+    value is the smallest order d with negative interpolated sum, as in
+    lyapunov_dimension; 0 when the top exponent is negative, n when no
+    partial sum is negative.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size < n or n < 1:
         raise InputError(f"need exponents for m = 1..{n}, got {lam.size}")
-    lam = lam[:n]
-    if lam[0] < 0.0:
-        return 0.0
-    cums = np.cumsum(lam)
-    if cums[-1] >= 0.0:
+    cums = np.cumsum(lam[:n])
+    neg = np.flatnonzero(cums < 0.0)
+    if neg.size == 0:
         return float(n)
-    m = int(np.where(cums >= 0.0)[0][-1]) + 1  # 1-based
-    return m + float(cums[m - 1]) / abs(float(lam[m]))
+    j = int(neg[0])
+    return j + float(cums[j - 1]) / abs(float(lam[j])) if j > 0 else 0.0
 
 
 def lyapunov_dimension(
@@ -203,10 +206,7 @@ def lyapunov_dimension(
     """
     dt = coc.h if dt is None else dt
     n = coc.dim
-    table = np.zeros((len(coc.base_points), n + 1))
-    for i, q in enumerate(coc.base_points):
-        for m in range(1, n + 1):
-            table[i, m] = volume_growth_qr(coc, q, m, T, dt).log_omega
+    table = _log_omega_table(coc, n, T, dt)
 
     def rate(d: float) -> float:
         m = int(math.floor(d))

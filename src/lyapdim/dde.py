@@ -10,7 +10,7 @@ numerical Lyapunov spectra via windowed QR accumulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -530,10 +530,10 @@ def numerical_lyapunov_spectrum(
 
     Integrates the model past burn_in, builds the tau-window monodromy
     sequence on an (N+1)-node history grid, and feeds it as a matrix cocycle
-    to the QR volume-growth accumulator; exponents are differenced partial
-    sums over the full horizon, with last-half values as the convergence
-    diagnostic.  ky is the Kaplan-Yorke value when the partial sums cross
-    zero within the m computed exponents, else None.
+    to one order-m QR pass: exponent j is the mean of log|R_jj| over the full
+    horizon, with last-half means as the convergence diagnostic.  ky is
+    cocycle.kaplan_yorke (the first negative partial sum) when a partial sum
+    of the m computed exponents is negative, else None.
     """
     tau = model.tau
     dt = tau / 128.0 if dt is None else dt
@@ -572,23 +572,11 @@ def numerical_lyapunov_spectrum(
         h=tau,
     )
     # warmup windows align the frame before accumulation starts
-    q0 = warmup
-    sums = np.zeros(m + 1)
-    sums_half = np.zeros(m + 1)
-    half_start = windows // 2
-    for order in range(1, m + 1):
-        g = cocycle.volume_growth_qr(coc, q0, order, windows * tau, tau)
-        sums[order] = g.log_omega
-        sums_half[order] = g.per_step[half_start:].sum()
-    lam = np.diff(sums) / (windows * tau)
-    lam_half = np.diff(sums_half) / ((windows - half_start) * tau)
-    cums = np.cumsum(lam)
-    ky = None
-    if lam[0] < 0:
-        ky = 0.0
-    elif np.any(cums < 0):
-        j = int(np.where(cums < 0)[0][0])
-        ky = j + float(cums[j - 1]) / abs(float(lam[j])) if j > 0 else 0.0
+    log_r = cocycle.volume_growth_qr(coc, warmup, m, windows * tau, tau).log_r
+    half = windows // 2
+    lam = log_r.sum(axis=0) / (windows * tau)
+    lam_half = log_r[half:].sum(axis=0) / ((windows - half) * tau)
+    ky = cocycle.kaplan_yorke(lam, m) if np.cumsum(lam).min() < 0.0 else None
     return SpectrumReport(lam, lam_half, windows * tau, windows, ky)
 
 

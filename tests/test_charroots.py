@@ -203,6 +203,13 @@ def test_halfplane_count_matches_char_roots(a, b_mag, b_sign, tau, c_tau):
     assert_count_matches_char_roots(cr.CharProblem(a, b_sign * b_mag, tau), c_tau / tau)
 
 
+def test_halfplane_count_overflowing_radius_raises():
+    # e^{-tau c} overflows (c = -1), or only the squared radius does (c = -0.5)
+    for c in (-1.0, -0.5):
+        with pytest.raises(NumericalFailure):
+            cr.halfplane_count(cr.CharProblem(0.0, 1.0, 1000.0), c)
+
+
 def test_non_integer_or_negative_winding_raises(monkeypatch):
     # the phase sampled along the segment must close to a nonnegative
     # integer count; a wrong phase is reported, never rounded into a count

@@ -278,6 +278,23 @@ def test_lyap_stable_linear(capsys):
     assert float(rows[0][1]) < 0.0
 
 
+def test_lyap_mackey_glass_frozen(capsys):
+    rc, out, _ = run_cli(
+        ["lyap", "--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10",
+         "--tau", "22", "--burn-in", "220", "--horizon", "440", "--seed", "7"],
+        capsys,
+    )
+    assert rc == 0
+    comments, _, rows = parse_csv(out)
+    lam = np.array([float(r[1]) for r in rows])
+    want = [0.013728035088953523, 0.005766216101028951, -0.019196933932594525,
+            -0.03251736428488062, -0.04620210228504269, -0.05684107440810501]
+    assert np.allclose(lam, want, rtol=0.0, atol=1e-10)
+    ky = float(next(c for c in comments if c.startswith("ky ")).split()[1])
+    assert ky == pytest.approx(3.009143338149525, abs=1e-10)
+    assert ky == cocycle.kaplan_yorke(lam, 6)
+
+
 def test_lyap_m_zero_exits_2():
     res = subprocess.run(
         [sys.executable, "-m", "lyapdim.cli", "lyap", *_LINEAR, "--m", "0", "--N", "8",

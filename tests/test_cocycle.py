@@ -101,6 +101,38 @@ def test_qr_volume_collapse_flag():
     assert g.log_omega == -math.inf
 
 
+def test_one_pass_gives_every_order():
+    # the cumulated column sums of log|R_kk| are log omega_k for every k <= m,
+    # checked against the singular values of the product, not against a QR
+    r = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(r.integers(2, 6))
+        A = 0.4 * r.normal(size=(n, n))
+        T = 4.0
+        P = expm(T * A)
+        assert np.linalg.cond(P) < 1e8
+        g = cy.volume_growth_qr(constant_cocycle(A), "o", n, T, 0.25)
+        assert g.log_r.shape == (16, n)
+        want = np.cumsum(np.log(np.linalg.svd(P, compute_uv=False)))
+        assert np.allclose(np.cumsum(g.log_r.sum(axis=0)), want, rtol=0.0, atol=1e-8)
+
+
+def test_qr_collapse_keeps_lower_orders():
+    M = np.diag([2.0, 0.5, 0.0])
+    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M, round(t)), 3, 1.0)
+    g = cy.volume_growth_qr(coc, "o", 3, 4.0, 1.0)
+    assert g.collapsed and g.log_omega == -math.inf
+    assert np.isfinite(g.log_r[:, :2]).all()
+    assert np.isneginf(g.log_r[:, 2]).all()
+    # the orders below the collapse run on as their own passes would
+    g2 = cy.volume_growth_qr(coc, "o", 2, 4.0, 1.0)
+    assert not g2.collapsed
+    assert np.allclose(g.log_r[:, :2], g2.log_r, rtol=0.0, atol=1e-15)
+    rep = cy.uniform_exponents(coc, 3, T=4.0)
+    assert rep.lambdas[:2] == pytest.approx([math.log(2.0), math.log(0.5)], abs=1e-15)
+    assert rep.lambdas[2] == -math.inf
+
+
 def test_qr_volume_validation():
     coc = constant_cocycle(np.eye(2))
     with pytest.raises(InputError):
@@ -170,6 +202,8 @@ def test_kaplan_yorke_formula():
     assert cy.kaplan_yorke([-0.1, -0.5], 2) == 0.0
     assert cy.kaplan_yorke([1.0, 0.5], 2) == 2.0  # saturated at n
     assert cy.kaplan_yorke([1.0, -1.0, -2.0], 3) == pytest.approx(2.0)  # tie included
+    # the first negative partial sum, not the last nonnegative one (3.4 here)
+    assert cy.kaplan_yorke([1.0, -2.0, 3.0, -5.0], 4) == 1.5
     with pytest.raises(InputError):
         cy.kaplan_yorke([1.0], 2)
     with pytest.raises(InputError):

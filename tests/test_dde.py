@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lyapdim import charroots as cr
-from lyapdim import dde
+from lyapdim import cocycle, dde
 from lyapdim.errors import InputError, NumericalFailure
 
 
@@ -290,6 +290,19 @@ def test_spectrum_linear_model_converges_like_1_over_T():
     assert e40 <= 0.65 * e20
     assert r40.ky == 0.0  # stable system
     assert r40.windows == 40
+
+
+def test_spectrum_ky_is_the_cocycle_formula():
+    # roots 0.40, then a pair at -2.83: one positive exponent
+    model = dde.linear_scalar(0.2, 0.3, 1.0)
+    rep = dde.numerical_lyapunov_spectrum(model, 2.0, 12.0, m=3, N=16, seed=1)
+    assert 1.0 < rep.ky < 2.0
+    assert rep.ky == cocycle.kaplan_yorke(rep.lambdas, 3)
+    top = dde.numerical_lyapunov_spectrum(model, 2.0, 12.0, m=1, N=16, seed=1)
+    assert top.ky is None  # no partial sum is negative
+    # the order-1 pass is the leading column of the order-3 pass
+    assert top.lambdas[0] == pytest.approx(rep.lambdas[0], abs=1e-13)
+    assert top.lambdas_half[0] == pytest.approx(rep.lambdas_half[0], abs=1e-13)
 
 
 def test_spectrum_validation():
