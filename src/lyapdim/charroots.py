@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cocycle
 from .bounds import _BRANCH_POINT_SERIES, lambert_root
 from .errors import InputError, NeedsMoreRootsError, NumericalFailure
 
@@ -199,22 +200,16 @@ def char_roots(prob: CharProblem, count: int) -> RootSet:
 
 
 def local_dimension(rs: RootSet) -> float:
-    """Kaplan-Yorke value of the real parts: j + S_j/|Re p_{j+1}| at the last
-    nonnegative partial sum S_j."""
+    """Kaplan-Yorke value (cocycle.kaplan_yorke) of the real parts:
+    j + S_j/|Re p_{j+1}| at the first negative partial sum S_{j+1}."""
     re = rs.real_parts()
     if re.size == 0:
         raise NeedsMoreRootsError("empty root set")
-    if re[0] < 0.0:
-        return 0.0
-    neg = np.flatnonzero(np.cumsum(re) < 0.0)
-    if neg.size == 0:
+    if not (np.cumsum(re) < 0.0).any():
         raise NeedsMoreRootsError(
             f"partial sums still nonnegative after {re.size} roots; request more"
         )
-    j = int(neg[0])  # S_{j} (1-based j) >= 0, S_{j+1} < 0
-    # S_j is a small difference of hundreds of terms, and |Re p_{j+1}| can
-    # be small too: sum it exactly rounded
-    return j + math.fsum(re[:j].tolist()) / abs(re[j]) if j > 0 else 0.0
+    return cocycle.kaplan_yorke(re, re.size)
 
 
 def unstable_count(rs: RootSet) -> int:

@@ -764,11 +764,9 @@ def cmd_sweep(args) -> int:
     cols = {"bound": ["tau", "d_star"], "local_dim": ["tau", "local_dim"],
             "unstable": ["tau", "n_unstable"], "lyap": ["tau", "lambda_1", "ky"]}[kind]
     if kind in ("local_dim", "unstable"):
-        x = np.array([r[0] for r in rows])
-        y = np.array([r[1] for r in rows])
-        A = np.vstack([x, np.ones_like(x)]).T
-        slope, intercept = np.linalg.lstsq(A, y, rcond=None)[0]
-        w.comment(f"slope {float(slope)!r} intercept {float(intercept)!r}")
+        slope, intercept, _ = charroots._fit_line(np.array([r[0] for r in rows]),
+                                                  np.array([r[1] for r in rows]))
+        w.comment(f"slope {slope!r} intercept {intercept!r}")
     w.table(cols, rows)
     w.flush()
     return 0

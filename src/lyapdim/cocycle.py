@@ -173,7 +173,11 @@ def uniform_exponents(
         raise InputError(f"need 1 <= m_max <= {coc.dim}, got {m_max}")
     dt = coc.h if dt is None else dt
     sums = _log_omega_table(coc, m_max, T, dt).max(axis=0)
-    return ExponentReport(m_max, np.diff(sums) / T, T)
+    # a collapsed order (log omega = -inf) keeps exponent -inf, where
+    # differencing would take -inf - -inf
+    lam = np.full(m_max, -math.inf)
+    np.subtract(sums[1:], sums[:-1], out=lam, where=sums[1:] > -math.inf)
+    return ExponentReport(m_max, lam / T, T)
 
 
 def kaplan_yorke(lambdas: Sequence[float], n: int) -> float:
@@ -182,7 +186,8 @@ def kaplan_yorke(lambdas: Sequence[float], n: int) -> float:
     j + S_j/|lambda_{j+1}| at the first negative partial sum S_{j+1}, so the
     value is the smallest order d with negative interpolated sum, as in
     lyapunov_dimension; 0 when the top exponent is negative, n when no
-    partial sum is negative.
+    partial sum is negative.  S_j is a small difference of many terms and
+    |lambda_{j+1}| can be small too, so S_j is summed exactly rounded.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size < n or n < 1:
@@ -192,7 +197,7 @@ def kaplan_yorke(lambdas: Sequence[float], n: int) -> float:
     if neg.size == 0:
         return float(n)
     j = int(neg[0])
-    return j + float(cums[j - 1]) / abs(float(lam[j])) if j > 0 else 0.0
+    return j + math.fsum(lam[:j].tolist()) / abs(float(lam[j])) if j > 0 else 0.0
 
 
 def lyapunov_dimension(
@@ -211,10 +216,8 @@ def lyapunov_dimension(
     def rate(d: float) -> float:
         m = int(math.floor(d))
         g = d - m
-        if m >= n:
-            vals = table[:, n]
-        else:
-            vals = (1.0 - g) * table[:, m] + g * table[:, m + 1]
+        # at integer d, table[:, m + 1] may be -inf (collapsed) or absent (m = n)
+        vals = table[:, m] if g == 0.0 else (1.0 - g) * table[:, m] + g * table[:, m + 1]
         return float(vals.max()) / T
 
     if rate(float(n)) >= 0.0:

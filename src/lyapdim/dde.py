@@ -42,9 +42,10 @@ __all__ = [
 class DelayModel:
     """Single-delay system x'(t) = rhs(t, x(t), x(t - tau)).
 
-    jac(t, x, xd) returns the pair of Jacobians (d rhs/d x, d rhs/d xd);
-    period marks time-periodic forcing.  rhs and jac must accept batched
-    states of shape (..., n).
+    jac(t, x, xd) returns the pair of Jacobians (d rhs/d x, d rhs/d xd),
+    each of shape (..., n, n); period marks time-periodic forcing.  rhs and
+    jac must accept batched states of shape (..., n), and jac receives t
+    batched like the states, with shape (...).
     """
 
     n: int
@@ -226,27 +227,31 @@ class HistorySegment:
         vals = np.tile(x, (M + 1, 1))
         return cls(tau, vals, np.zeros_like(vals))
 
-    def _locate(self, theta: float):
-        if not -self.tau - 1e-9 <= theta <= 1e-9:
-            raise InputError(f"theta={theta} lies outside the history range [{-self.tau}, 0]")
+    def _locate(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        ok = (-self.tau - 1e-9 <= theta) & (theta <= 1e-9)
+        if not ok.all():
+            raise InputError(
+                f"theta={theta[~ok][0]} lies outside the history range [{-self.tau}, 0]"
+            )
         h = self.tau / self.intervals
         g = (theta + self.tau) / h
-        i = min(max(int(math.floor(g)), 0), self.intervals - 1)
-        return g - i, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1], h
+        i = np.clip(np.floor(g).astype(int), 0, self.intervals - 1)
+        u = (g - i)[..., None]
+        return u, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1], h
 
-    def eval(self, theta: float) -> np.ndarray:
+    def eval(self, theta) -> np.ndarray:
+        """History at theta: shape (n,) for a scalar, (..., n) for an array."""
         return _hermite(*self._locate(theta))
 
-    def eval_deriv(self, theta: float) -> np.ndarray:
+    def eval_deriv(self, theta) -> np.ndarray:
         return _hermite_deriv(*self._locate(theta))
 
     def resampled(self, M: int) -> "HistorySegment":
         if M == self.intervals:
             return self
         theta = np.linspace(-self.tau, 0.0, M + 1)
-        vals = np.array([self.eval(t) for t in theta])
-        ders = np.array([self.eval_deriv(t) for t in theta])
-        return HistorySegment(self.tau, vals, ders)
+        return HistorySegment(self.tau, self.eval(theta), self.eval_deriv(theta))
 
 
 @dataclass
@@ -277,19 +282,21 @@ class Trajectory:
     def _m_hist(self) -> int:
         return round(self.model.tau / self.dt)
 
-    def _interval_data(self, i: int):
-        d0 = self.derivs[i]
-        d1 = self.hist_end_deriv if i + 1 == self._m_hist else self.derivs[i + 1]
-        return self.values[i], d0, self.values[i + 1], d1
-
-    def value(self, t: float) -> np.ndarray:
-        if not self.t_start - 1e-9 <= t <= self.t_end + 1e-9:
-            raise InputError(f"t={t} lies outside the stored range [{self.t_start}, {self.t_end}]")
+    def value(self, t) -> np.ndarray:
+        """State at t: shape (n,) for a scalar t, (..., n) for an array."""
+        t = np.asarray(t, dtype=float)
+        ok = (self.t_start - 1e-9 <= t) & (t <= self.t_end + 1e-9)
+        if not ok.all():
+            raise InputError(
+                f"t={t[~ok][0]} lies outside the stored range [{self.t_start}, {self.t_end}]"
+            )
         g = (t - self.t_start) / self.dt
-        i = min(max(int(math.floor(g + 1e-12)), 0), self.values.shape[0] - 2)
-        u = g - i
-        v0, d0, v1, d1 = self._interval_data(i)
-        return _hermite(u, v0, d0, v1, d1, self.dt)
+        i = np.clip(np.floor(g + 1e-12).astype(int), 0, self.values.shape[0] - 2)
+        u = (g - i)[..., None]
+        # the interval ending at the history breakpoint takes its left-side derivative
+        at_break = (i + 1 == self._m_hist)[..., None]
+        d1 = np.where(at_break, self.hist_end_deriv, self.derivs[i + 1])
+        return _hermite(u, self.values[i], self.derivs[i], self.values[i + 1], d1, self.dt)
 
     def segment_at(self, t: float) -> HistorySegment:
         """History segment ending at node time t (t - t_start on the grid)."""
@@ -442,13 +449,13 @@ def _trig_eval(coef, theta, tau, deriv=False):
     return out
 
 
-def _lagrange_weights(offsets: np.ndarray, x: float) -> np.ndarray:
-    w = np.ones(offsets.size)
-    for i, xi in enumerate(offsets):
-        for xj in offsets:
-            if xj != xi:
-                w[i] *= (x - xj) / (xi - xj)
-    return w
+# Cubic Lagrange weights at x + 1/2 for stencil nodes x - row .. x - row + 3:
+# row 0 on a delay segment's first interval, 1 inside it, 2 on its last, so
+# the stencil never reaches across the kinks propagating from the history
+# junction.
+_MID_WEIGHTS = (
+    np.array([[5.0, 15.0, -5.0, 1.0], [-1.0, 9.0, 9.0, -1.0], [1.0, -5.0, 15.0, 5.0]]) / 16.0
+)
 
 
 def linearized_monodromy(
@@ -459,9 +466,12 @@ def linearized_monodromy(
     Coordinates: n components at each of N+1 uniform history nodes, node 0 at
     theta = -tau, node N at theta = 0.  Columns are responses to basis
     histories, integrated by RK4 with quartic-accurate midpoint lookups from
-    the stored node ladder.
+    the stored node ladder.  The Jacobians at every stage time of the window
+    come from one batched model.jac call.
     """
     tau = model.tau
+    if N < 3:
+        raise InputError(f"need N >= 3 history intervals for the midpoint stencil, got {N}")
     if t0 < traj.t_start + tau - 1e-9 or t0 + span * tau > traj.t_end + 1e-9:
         raise InputError("trajectory does not cover the requested window")
     n, B = model.n, model.n * (N + 1)
@@ -472,42 +482,22 @@ def linearized_monodromy(
         for c in range(n):
             W[i, c, i * n + c] = 1.0
 
-    stencil_mid = {}
-
-    def lookup_mid(idx):
-        # value at grid coordinate idx + 1/2 from a 4-point stencil; the
-        # stencil stays inside one delay segment so it never interpolates
-        # across the solution kinks propagating from the history junction
-        base = (idx // N) * N
-        lo = min(max(idx - 1, base), base + N - 3)
-        if idx not in stencil_mid:
-            offs = np.arange(lo, lo + 4, dtype=float)
-            stencil_mid[idx] = (lo, _lagrange_weights(offs, idx + 0.5))
-        lo, wts = stencil_mid[idx]
-        return np.tensordot(wts, W[lo : lo + 4], axes=(0, 0))
-
-    def jacs(s):
-        x = traj.value(s)
-        xd = traj.value(s - tau)
-        J0, Jd = model.jac(s, x, xd)
-        return (
-            np.asarray(J0, dtype=float).reshape(n, n),
-            np.asarray(Jd, dtype=float).reshape(n, n),
-        )
+    s = t0 + np.arange(total) * h
+    stages = np.stack([s, s + 0.5 * h, s + h])  # (3, total): RK4 stage times
+    J0, Jd = model.jac(stages, traj.value(stages), traj.value(stages - tau))
+    A = np.asarray(J0, dtype=float).reshape(3, total, n, n)
+    D = np.asarray(Jd, dtype=float).reshape(3, total, n, n)
+    r = np.arange(total) % N
+    rows = (r > 0).astype(int) + (r == N - 1)
 
     for i in range(total):
-        s = t0 + i * h
         V = W[N + i]
-        A1, B1 = jacs(s)
-        A2, B2 = jacs(s + 0.5 * h)
-        A4, B4 = jacs(s + h)
-        d1 = W[i]
-        dm = lookup_mid(i)
-        d4 = W[i + 1]
-        k1 = A1 @ V + B1 @ d1
-        k2 = A2 @ (V + 0.5 * h * k1) + B2 @ dm
-        k3 = A2 @ (V + 0.5 * h * k2) + B2 @ dm
-        k4 = A4 @ (V + h * k3) + B4 @ d4
+        lo = i - rows[i]
+        dm = np.tensordot(_MID_WEIGHTS[rows[i]], W[lo : lo + 4], axes=(0, 0))
+        k1 = A[0, i] @ V + D[0, i] @ W[i]
+        k2 = A[1, i] @ (V + 0.5 * h * k1) + D[1, i] @ dm
+        k3 = A[1, i] @ (V + 0.5 * h * k2) + D[1, i] @ dm
+        k4 = A[2, i] @ (V + h * k3) + D[2, i] @ W[i + 1]
         W[N + i + 1] = V + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     out = np.empty((B, B))

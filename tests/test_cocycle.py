@@ -6,6 +6,7 @@ is itself reliable), determinant multiplicativity (long horizons), and
 closed-form diagonal/equilibrium cocycles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_qr_collapse_keeps_lower_orders():
     rep = cy.uniform_exponents(coc, 3, T=4.0)
     assert rep.lambdas[:2] == pytest.approx([math.log(2.0), math.log(0.5)], abs=1e-15)
     assert rep.lambdas[2] == -math.inf
+    # two collapsed orders: each reads -inf, not -inf - -inf = nan, and the
+    # dimension never weighs a collapsed order by 0 at integer d
+    M0 = np.diag([2.0, 0.0, 0.0])
+    coc0 = cy.MatrixCocycle(
+        ("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M0, round(t)), 3, 1.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep0 = cy.uniform_exponents(coc0, 3, T=4.0)
+        dim0 = cy.lyapunov_dimension(coc0, 4.0)
+    assert rep0.lambdas[0] == pytest.approx(math.log(2.0), abs=1e-15)
+    assert rep0.lambdas[1] == rep0.lambdas[2] == -math.inf
+    assert not dim0.saturated and dim0.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_qr_volume_validation():

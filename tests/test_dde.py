@@ -171,6 +171,34 @@ def test_lookups_reject_times_outside_the_stored_range():
             hist.eval_deriv(theta)
 
 
+def test_array_lookups_equal_scalar_lookups_bit_for_bit():
+    mg = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
+    rng = np.random.default_rng(4)
+    hist = dde.HistorySegment.from_function(lambda t: 0.5 + 0.2 * math.sin(t), 22.0, M=40)
+    traj = dde.integrate(mg, hist, 44.0, 22.0 / 128)
+    # random times plus every node, the history breakpoint and both range ends
+    ts = np.concatenate([rng.uniform(-22.0, 44.0, 200), traj.t_start + traj.dt * np.arange(385)])
+    got = traj.value(ts.reshape(5, -1))
+    assert got.shape == (5, ts.size // 5, 1)
+    assert np.array_equal(got.reshape(-1, 1), np.array([traj.value(t) for t in ts]))
+    thetas = np.concatenate([rng.uniform(-22.0, 0.0, 100), np.linspace(-22.0, 0.0, 41)])
+    for fn in (hist.eval, hist.eval_deriv):
+        assert np.array_equal(fn(thetas), np.array([fn(th) for th in thetas]))
+    assert traj.value(3.0).shape == hist.eval(-3.0).shape == (1,)
+    # the last history interval ends on the history's own derivative (0 for a
+    # constant), not on the solution's right derivative at t = 0 (here -1)
+    lin = dde.integrate(
+        dde.linear_scalar(0.0, -1.0, 1.0), dde.HistorySegment.constant(1.0, 1.0), 2.0, 1.0 / 16
+    )
+    assert np.array_equal(lin.value(np.array([-1.5, -0.5, -0.25]) / 16), np.ones((3, 1)))
+    # one element out of range rejects the whole batch
+    with pytest.raises(InputError):
+        traj.value(np.array([0.0, 10.0, 44.5]))
+    for fn in (hist.eval, hist.eval_deriv):
+        with pytest.raises(InputError):
+            fn(np.array([-1.0, 0.5]))
+
+
 def test_write_trajectory_csv(tmp_path):
     model = dde.linear_scalar(-1.0, 0.0, 1.0)
     traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 1.0, 1.0 / 16)
@@ -275,6 +303,44 @@ def test_monodromy_coverage_guard():
         dde.linearized_monodromy(model, traj, 2.5, 16)  # needs up to 3.5
 
 
+def test_mid_weights_reproduce_cubics_at_the_midpoint():
+    rng = np.random.default_rng(11)
+    for row, w in enumerate(dde._MID_WEIGHTS):
+        # stencil nodes 0..3 with the midpoint of interval `row`; integer
+        # coefficients keep every value, weight product and sum exact
+        coef = rng.integers(-50, 51, size=4).astype(float)
+        nodes = np.polyval(coef, np.arange(4.0))
+        assert float(w @ nodes) == np.polyval(coef, row + 0.5)
+
+
+def test_monodromy_calls_jac_once():
+    model = dde.mackey_glass(0.2, 0.1, 10.0, 2.0)
+    traj = dde.integrate(model, dde.HistorySegment.constant(0.7, 2.0), 8.0, 2.0 / 32)
+    calls = []
+    jac = model.jac
+
+    def counting_jac(t, x, xd):
+        calls.append(np.shape(t))
+        return jac(t, x, xd)
+
+    model.jac = counting_jac
+    M1 = dde.linearized_monodromy(model, traj, 2.0, 16)
+    M2 = dde.linearized_monodromy(model, traj, 2.0, 16, span=3)
+    # every stage time of a window comes in one batch: 3 stages x span * N steps
+    assert calls == [(3, 16), (3, 48)]
+    assert M1.shape == M2.shape == (17, 17)
+
+
+def test_monodromy_needs_three_history_intervals():
+    # the midpoint stencil spans four nodes inside one delay segment
+    model = dde.linear_scalar(-1.0, 0.5, 1.0)
+    traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 3.0, 1.0 / 16)
+    assert dde.linearized_monodromy(model, traj, 1.0, 3).shape == (4, 4)
+    for N in (1, 2):
+        with pytest.raises(InputError):
+            dde.linearized_monodromy(model, traj, 1.0, N)
+
+
 # ------------------------------------------------------- spectra
 
 
@@ -312,3 +378,12 @@ def test_spectrum_validation():
     for m in (0, -1):
         with pytest.raises(InputError):
             dde.numerical_lyapunov_spectrum(model, 1.0, 8.0, m=m, N=10)
+
+
+def test_spectrum_order_at_the_discretized_dimension():
+    # N = 8 history intervals give n (N + 1) = 9 coordinates
+    model = dde.linear_scalar(-1.0, 0.5, 1.0)
+    rep = dde.numerical_lyapunov_spectrum(model, 2.0, 4.0, m=9, N=8, seed=2)
+    assert rep.lambdas.shape == (9,) and np.isfinite(rep.lambdas).all()
+    with pytest.raises(InputError):
+        dde.numerical_lyapunov_spectrum(model, 2.0, 4.0, m=10, N=8, seed=2)
