@@ -81,6 +81,14 @@ _BRANCH_POINT_SERIES = (
 )
 
 
+def _branch_point_series(q):
+    """The series above at q, real or complex, by Horner's rule."""
+    w = 0.0
+    for mu in _BRANCH_POINT_SERIES:
+        w = w * q + mu
+    return w
+
+
 def lambert_root(c: float) -> float:
     """Unique real root p >= -1 of p e^{p+1} = c, which is W_0(c/e).
 
@@ -97,9 +105,7 @@ def lambert_root(c: float) -> float:
         raise InputError(f"p e^(p+1) = c has no real root p >= -1 for c = {c} < -1")
     if 1.0 + c < 0.3:
         q = math.sqrt(2.0 * (1.0 + c))  # 1 + c is exact here
-        w = 0.0
-        for mu in _BRANCH_POINT_SERIES:
-            w = w * q + mu
+        w = _branch_point_series(q)
         if q < 1e-2:
             return max(w, -1.0)
     elif c < 3.0 * math.e:

@@ -4,18 +4,21 @@ Substituting w = tau (p - a) turns the equation into w e^w = z with
 z = b tau e^{-a tau}, so the roots are exactly p_k = a + W_k(z)/tau, one per
 branch k of the Lambert W function (Corless et al., "On the Lambert W
 function", Adv. Comput. Math. 5, 1996).  Branches are enumerated until the
-left-out ones lie below the requested roots; where |log z| is too large for
-z to be formed, W_k solves w + log w = log z + 2 pi i k instead.  Counts are
-certified independently by the argument principle, sampling h only on one
-segment of the line Re p = c: Rouche's bound closes the contour.  On top of
-the root sets: Kaplan-Yorke local dimensions, unstable-direction counts, and
-least-squares slope fits of either quantity against the delay.
+left-out ones lie below the requested roots.  Every branch is computed with
+numpy and math alone: W_k for k >= 1 solves w + log w = log|z| + i arg z +
+2 pi i k by Halley's method in one vectorised pass, which holds where z
+itself over- or underflows; the central branches are scalar solves (the real
+W_0 by bounds.lambert_root, the nonreal W_0 and the real W_{-1} near the
+branch point -1/e from its series).  Counts are certified independently by
+the argument principle, sampling h only on one segment of the line Re p = c:
+Rouche's bound closes the contour.  On top of the root sets: Kaplan-Yorke
+local dimensions, unstable-direction counts, and least-squares slope fits of
+either quantity against the delay.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cocycle
-from .bounds import _BRANCH_POINT_SERIES, lambert_root
+from .bounds import _branch_point_series, lambert_root
 from .errors import InputError, NeedsMoreRootsError, NumericalFailure
 
 __all__ = [
@@ -42,16 +45,7 @@ _LOG_SPACE_BEYOND = 600.0  # |log z| above which z itself over- or underflows
 _EPS = np.finfo(float).eps
 _MAX_SEGMENT_SAMPLES = 300000
 _ROUCHE_THETA = 0.9  # bound on |b e^{-tau p}/(a - p)| off the sampled segment
-
-
-@functools.cache
-def _lambertw():
-    """scipy's vectorised complex Lambert W, imported on first use: only
-    root finding needs complex branches, and importing scipy.special costs
-    about as much as the rest of a lyapdim process's start-up."""
-    from scipy.special import lambertw
-
-    return lambertw
+_SPLIT_KNOTS = np.linspace(0.0, 1.0, 5)  # a step split into four equal parts
 
 
 @dataclass(frozen=True)
@@ -118,17 +112,56 @@ class SlopeFit:
         return abs(lo - hi)
 
 
+def _halley_step(w, L, log):
+    """Halley's step for f(w) = w + log w - L, on numpy arrays or scalars."""
+    f = w + log(w) - L
+    u = w + 1.0
+    return f * w / (u + 0.5 * f / u)
+
+
 def _log_space_w(L) -> np.ndarray:
-    """Solutions of w + log w = L by Newton from the asymptotic start
-    L - log L: the branch values W_k(z) for L = log z + 2 pi i k, |L| large."""
+    """Solutions of w + log w = L, the branch values W_k(z) for L = log z +
+    2 pi i k, k >= 1 (|L| >= 2 pi), by Halley's method from the asymptotic
+    start L - l + l/L, l = log L: one or two steps, stopping once every step
+    is below 1e-6 |w| (convergence is cubic).  A further term of the series
+    in the start saves no step for |log z| below about 50."""
     L = np.asarray(L, dtype=complex)
-    w = L - np.log(L)
+    l = np.log(L)
+    w = L - l + l / L
     for _ in range(50):
-        step = (w + np.log(w) - L) / (1.0 + 1.0 / w)
+        step = _halley_step(w, L, np.log)
         w = w - step
-        if np.all(np.abs(step) <= 4.0 * _EPS * np.abs(w)):
-            break
-    return w
+        if np.abs(step / w).max() <= 1e-6:
+            return w
+    raise NumericalFailure(f"Lambert W did not converge on the chain at {L[0]}")
+
+
+def _central_branch(L, log, q: complex = math.inf):
+    """A central branch value as the solution of w + log w = L by Halley's
+    method: W_0 of z < -1/e (L = log|z| + i pi, cmath.log, q = i sqrt(-2d)),
+    the real W_{-1} of -1/e < z < 0 (L = log|z|, log(w) = log(-w),
+    q = -sqrt(2d)), d = 1 + e z, or W_0 of an overflowing z (q = inf).  The
+    start is the branch-point series at q where |q| < 0.775 (returned as is
+    within |q| < 1e-2, where it is exact to rounding and the iteration is
+    ill-conditioned), else L - l + l/L, l = log L."""
+    if abs(q) < 0.775:
+        w = _branch_point_series(q)
+        if abs(q) < 1e-2:
+            return w
+    else:
+        l = log(L)
+        w = L - l + l / L
+    for _ in range(50):
+        step = _halley_step(w, L, log)
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):
+            return w
+    raise NumericalFailure(f"Lambert W did not converge at log-space argument {L}")
+
+
+def _real_wm1(log_abs_z: float, d: float) -> float:
+    # complex iterations wander off the real axis across the cut of log
+    return _central_branch(log_abs_z, lambda w: math.log(-w), -math.sqrt(2.0 * d))
 
 
 def _central_w(a: float, b: float, tau: float, log_abs_z: float):
@@ -136,27 +169,22 @@ def _central_w(a: float, b: float, tau: float, log_abs_z: float):
     with Im > 0).  A nonreal W_{-1} is conj W_0 (z < -1/e) or conj W_1
     (z > 0), which the conjugate closure supplies."""
     if log_abs_z < -_LOG_SPACE_BEYOND:
-        # W_0(z) = z (1 + O(z)) is exact to double once z underflows; the
-        # real W_{-1} of z < 0 solves the principal-log equation with k = 0
+        # W_0(z) = z (1 + O(z)) is exact to double once z underflows
         real = [math.copysign(math.exp(log_abs_z), b)]
-        if b < 0.0:
-            real.append(_log_space_w(complex(log_abs_z, math.pi)).real)
-        return real, 1, []
-    if log_abs_z > _LOG_SPACE_BEYOND:
-        w0 = complex(_log_space_w(complex(log_abs_z, math.pi if b < 0.0 else 0.0)))
-    else:
-        z = b * tau * math.exp(-a * tau)
-        d = 1.0 + math.e * z
-        if abs(d) <= 8.0 * _EPS * (1.0 + abs(a) * tau):
-            return [-1.0, -1.0], 2, []  # z = -1/e to rounding: w = -1 is double
-        w0 = complex(_lambertw()(z, 0))
-        if b < 0.0 and d > 0.0:
-            # W_{-1} is the branch-point series at -q; scipy's branch -1
-            # loses accuracy near z = -1/e
-            q = math.sqrt(2.0 * d)
-            wm1 = np.polyval(_BRANCH_POINT_SERIES, -q) if q < 1e-2 else _lambertw()(z, -1).real
-            return [w0.real, float(wm1)], 1, []
-    return ([w0.real], 1, []) if w0.imag == 0.0 else ([], 1, [w0])
+        return real + ([_real_wm1(log_abs_z, 1.0)] if b < 0.0 else []), 1, []
+    if log_abs_z > _LOG_SPACE_BEYOND:  # z overflows: W_0 solves w + log w = log z
+        if b > 0.0:
+            return [_central_branch(log_abs_z, math.log)], 1, []
+        return [], 1, [_central_branch(complex(log_abs_z, math.pi), cmath.log)]
+    z = b * tau * math.exp(-a * tau)
+    d = 1.0 + math.e * z
+    if abs(d) <= 8.0 * _EPS * (1.0 + abs(a) * tau):
+        return [-1.0, -1.0], 2, []  # z = -1/e to rounding: w = -1 is double
+    if d < 0.0:
+        q = 1j * math.sqrt(-2.0 * d)
+        return [], 1, [_central_branch(complex(log_abs_z, math.pi), cmath.log, q)]
+    real = [lambert_root(math.e * z)]
+    return real + ([_real_wm1(log_abs_z, d)] if b < 0.0 else []), 1, []
 
 
 def char_roots(prob: CharProblem, count: int) -> RootSet:
@@ -179,12 +207,7 @@ def char_roots(prob: CharProblem, count: int) -> RootSet:
     K = count // 2 + 4
     while True:
         ks = np.arange(1, K + 2)
-        if abs(log_abs_z) > _LOG_SPACE_BEYOND:
-            chain = _log_space_w(log_abs_z + 1j * (math.pi * (b < 0.0) + 2.0 * math.pi * ks))
-        else:
-            chain = _lambertw()(b * tau * math.exp(-a * tau), ks)
-        if not np.isfinite(chain).all():  # a NaN would never pass the check below
-            raise NumericalFailure(f"Lambert W failed on a branch up to {K + 1} at {prob}")
+        chain = _log_space_w(log_abs_z + 1j * (math.pi * (b < 0.0) + 2.0 * math.pi * ks))
         up = np.concatenate([np.asarray(upper, dtype=complex), chain[:-1]]) / tau  # p - a
         # Re p from |p - a| = |b| e^{-tau Re p}: a + Re w/tau cancels where
         # Re p is small, with rounding errors that share a sign over the
@@ -227,22 +250,28 @@ _QUANTITIES = {"local_dimension": local_dimension, "unstable_count": unstable_co
 
 def _segment_phase(prob: CharProblem, c: float, Y: float) -> float:
     """Phase change of h along c -> c + iY: four samples per half-turn of
-    e^{-tau p}, bisecting every step whose phase moves by 1.5 or more.  A
-    sample within a few rounding errors of zero means a root on the segment."""
+    e^{-tau p}, then passes that split every step whose phase moves by 1.5
+    or more into four equal parts and sample only those steps again (the
+    settled steps are summed once).  A sample within a few rounding errors
+    of zero means a root on the segment."""
     size = max(64, math.ceil(4.0 * prob.tau * Y / math.pi))
     floor = 16.0 * _EPS * (abs(prob.a) + abs(prob.b) * math.exp(-prob.tau * c) + abs(c) + Y)
-    t = np.linspace(0.0, 1.0, size)
+    t = (np.arange(size) / (size - 1.0))[None, :]  # rows of knots
+    samples, settled = size, 0.0
     for _ in range(40):
         vals = prob.h(c + 1j * Y * t)
         if (np.abs(vals) <= floor).any():
             raise NumericalFailure("characteristic root on the contour")
-        dphi = np.angle(vals[1:] / vals[:-1])
+        dphi = np.angle(vals[:, 1:] / vals[:, :-1])
         bad = np.abs(dphi) >= 1.5
         if not bad.any():
-            return float(dphi.sum())
-        t = np.sort(np.concatenate([t, 0.5 * (t[:-1][bad] + t[1:][bad])]))
-        if t.size > _MAX_SEGMENT_SAMPLES:
+            return settled + float(dphi.sum())
+        settled += float(dphi[~bad].sum())
+        lo, hi = t[:, :-1][bad], t[:, 1:][bad]
+        samples += 3 * lo.size
+        if samples > _MAX_SEGMENT_SAMPLES:
             break
+        t = lo[:, None] + (hi - lo)[:, None] * _SPLIT_KNOTS
     raise NumericalFailure("contour refinement did not settle")
 
 

@@ -29,12 +29,10 @@ __all__ = [
     "suarez_schopf",
     "suarez_schopf_equilibria",
     "linear_scalar",
-    "jacobian_consistency",
     "integrate",
     "invariant_ball_check",
     "linearized_monodromy",
     "numerical_lyapunov_spectrum",
-    "write_trajectory_csv",
 ]
 
 
@@ -136,32 +134,6 @@ def linear_scalar(a: float, b: float, tau: float) -> DelayModel:
         return np.full_like(x, a)[..., None], np.full_like(x, b)[..., None]
 
     return DelayModel(1, tau, rhs, jac, None, "linear-scalar")
-
-
-def jacobian_consistency(model: DelayModel, samples: int = 20, seed: int = 0) -> float:
-    """Max relative gap between provided Jacobians and central differences."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    eps = 1e-6
-    for _ in range(samples):
-        t = float(rng.uniform(0.0, 10.0))
-        x = rng.uniform(-1.5, 1.5, model.n)
-        xd = rng.uniform(-1.5, 1.5, model.n)
-        J0, Jd = model.jac(t, x, xd)
-        J0 = np.asarray(J0, dtype=float).reshape(model.n, model.n)
-        Jd = np.asarray(Jd, dtype=float).reshape(model.n, model.n)
-        for j in range(model.n):
-            e = np.zeros(model.n)
-            e[j] = eps
-            col0 = (model.rhs(t, x + e, xd) - model.rhs(t, x - e, xd)) / (2 * eps)
-            cold = (model.rhs(t, x, xd + e) - model.rhs(t, x, xd - e)) / (2 * eps)
-            scale = max(1.0, float(np.abs(J0).max()), float(np.abs(Jd).max()))
-            worst = max(
-                worst,
-                float(np.abs(col0 - J0[:, j]).max()) / scale,
-                float(np.abs(cold - Jd[:, j]).max()) / scale,
-            )
-    return worst
 
 
 def _hermite(u, v0, d0, v1, d1, h):
@@ -544,14 +516,17 @@ def numerical_lyapunov_spectrum(
 
     cache: dict = {}
 
+    def window(w):
+        if w not in cache:
+            cache[w] = linearized_monodromy(model, traj, (burn_windows + w) * tau, N)
+        return cache[w]
+
     def fiber(idx, t):
-        k = round(t / tau)
-        P = np.eye(model.n * (N + 1))
-        for j in range(k):
-            w = idx + j
-            if w not in cache:
-                cache[w] = linearized_monodromy(model, traj, (burn_windows + w) * tau, N)
-            P = cache[w] @ P
+        # windows idx, idx + 1, ..., latest on the left; t is a whole
+        # number (>= 1) of windows, since the cocycle step h is tau
+        P = window(idx)
+        for w in range(idx + 1, idx + round(t / tau)):
+            P = window(w) @ P
         return P
 
     coc = cocycle.MatrixCocycle(
@@ -561,20 +536,12 @@ def numerical_lyapunov_spectrum(
         dim=model.n * (N + 1),
         h=tau,
     )
-    # warmup windows align the frame before accumulation starts
+    # the pass starts at window `warmup`: windows 0 and 1 are integrated but
+    # never used, and _seed_frame aligns the frame on the windows it then
+    # accumulates
     log_r = cocycle.volume_growth_qr(coc, warmup, m, windows * tau, tau).log_r
     half = windows // 2
     lam = log_r.sum(axis=0) / (windows * tau)
     lam_half = log_r[half:].sum(axis=0) / ((windows - half) * tau)
     ky = cocycle.kaplan_yorke(lam, m) if np.cumsum(lam).min() < 0.0 else None
     return SpectrumReport(lam, lam_half, windows * tau, windows, ky)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    m = traj._m_hist
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x_{i+1}" for i in range(traj.values.shape[1])) + "\n")
-        for i in range(m, traj.values.shape[0]):
-            t = traj.t_start + i * traj.dt
-            row = ",".join(repr(float(v)) for v in traj.values[i])
-            fh.write(f"{t!r},{row}\n")

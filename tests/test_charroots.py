@@ -239,6 +239,41 @@ def test_halfplane_count_log_space_against_char_roots(a_tau, a_mag, a_sign, b_ma
     assert_count_matches_char_roots(cr.CharProblem(a, b_sign * b_mag, tau), c_tau / tau)
 
 
+def lambert_branches(log_abs_z: float, sign: float, K: int) -> np.ndarray:
+    """W_{-1}, W_0, W_1..W_K of z = sign e^{log_abs_z} as char_roots builds
+    them: the central branches, then the chain (a nonreal W_{-1} is the
+    conjugate of W_0 or of W_1)."""
+    real, _, upper = cr._central_w(-log_abs_z, sign, 1.0, log_abs_z)
+    chain = cr._log_space_w(log_abs_z + 1j * (math.pi * (sign < 0) + 2.0 * math.pi * np.arange(1, K + 1)))
+    w0 = complex(real[0]) if real else upper[0]
+    wm1 = complex(real[1]) if len(real) == 2 else (w0 if upper else chain[0]).conjugate()
+    return np.concatenate([[wm1, w0], chain])
+
+
+# (log|z|, sign): z = -(1 - d)/e on either side of the series/iteration
+# switches at d = 5e-5 (q = 1e-2) and d = 0.3, on both sides of -1/e; far
+# from it; and |log z| on either side of 600, where z itself leaves the
+# double range
+BRANCH_CASES = [
+    *[(math.log1p(-d) - 1.0, -1.0) for d in (1e-10, 4e-5, 6e-5, 0.29, 0.31, 0.9)],
+    *[(math.log1p(d) - 1.0, -1.0) for d in (1e-10, 4e-5, 6e-5, 0.29, 0.31, 5.0)],
+    *[(lz, s) for lz in (-700.0, -601.0, -599.0, -20.0, 0.0, 7.0, 230.0, 599.0, 601.0) for s in (-1.0, 1.0)],
+]
+
+
+@pytest.mark.parametrize("log_abs_z, sign", BRANCH_CASES)
+def test_lambert_branches_against_mpmath(log_abs_z, sign):
+    K = 40
+    got = lambert_branches(log_abs_z, sign, K)
+    z = sign * mpmath.exp(mpmath.mpf(log_abs_z))
+    want = np.array([complex(mpmath.lambertw(z, k)) for k in range(-1, K + 1)])
+    # z is formed from log|z| with a relative rounding error of about
+    # eps (1 + |log z|), which moves W by that times |W/(1 + W)|
+    eps_z = 4 * np.finfo(float).eps * (1.0 + abs(log_abs_z))
+    tol = 1e-15 * np.abs(want) + eps_z * np.abs(want / (1.0 + want))
+    assert np.all(np.abs(got - want) <= tol), np.abs(got - want) / tol
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(-1.0, 1.0),

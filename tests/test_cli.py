@@ -560,9 +560,22 @@ def test_commands_without_root_finding_never_import_scipy(argv):
     assert scipy_modules == []
 
 
-def test_roots_loads_scipy_on_demand():
-    rc, scipy_modules, out = _scipy_after(["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22"],
+        ["sweep", *_MG, "--quantity", "local_dim", "--tau-range", "10:500:6:log"],
+        ["sweep", *_MG, "--quantity", "unstable", "--tau-range", "10:500:6:log"],
+        ["verify", "--suite", "all"],
+        ["verify", "--suite", "charroots"],
+    ],
+    ids=["roots", "sweep-local-dim", "sweep-unstable", "verify-all", "verify-charroots"],
+)
+def test_root_finding_commands_never_import_scipy(argv):
+    # every Lambert-W branch comes from numpy and math
+    rc, scipy_modules, out = _scipy_after(argv)
     assert rc == 0
-    assert "scipy.special" in scipy_modules
-    comments, cols, rows = parse_csv(out)
-    assert "N_u 4" in comments and cols == ["index", "re", "im", "residual"] and rows
+    assert scipy_modules == []
+    if argv[0] == "roots":
+        comments, cols, rows = parse_csv(out)
+        assert "N_u 4" in comments and cols == ["index", "re", "im", "residual"] and rows
