@@ -2,15 +2,16 @@
 
 Implements the Lambert-type scalar estimate d*(kappa) = (a + b e^{kappa tau})/kappa + 1,
 its closed-form minimizer via the root of p e^{p+1} = a/b, trace-exponent sums
-alpha_plus, and the spatio-temporal rescaling that sharpens the bound by
-minimizing over a one-parameter family of equivalent problems.
+alpha_plus, and the spatio-temporal rescaling that sharpens the bound: its
+minimum over the one-parameter family of equivalent problems is one more
+scalar estimate, at half the delay, so it too is a Lambert-W root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,10 +26,8 @@ __all__ = [
     "scaled_bound",
     "alpha_plus",
     "mackey_glass_bound",
-    "mackey_glass_family",
     "mackey_glass_scaled_bound",
     "suarez_schopf_bound",
-    "suarez_schopf_family",
     "suarez_schopf_scaled_bound",
     "mackey_glass_lambda",
     "mackey_glass_ball_radius",
@@ -152,61 +151,34 @@ def scalar_bound(prob: BoundProblem) -> DimensionBound:
     return DimensionBound(d, p, kappa, None, "scalar-lemma")
 
 
-def scaled_bound(
-    family: Callable[[float], BoundProblem],
-    kappa_range: tuple[float, float] = (1e-3, 1e3),
-    tol: float = 1e-6,
-    prescan: int = 60,
-) -> DimensionBound:
-    """Minimize scalar_bound(family(kappa)).d_star over the scale parameter.
+def scaled_bound(prob: BoundProblem) -> DimensionBound:
+    """Minimize the scalar estimate over the rescaled family of prob, in
+    closed form.
 
-    Golden-section search on log kappa after a log-spaced pre-scan that
-    brackets the best candidate; tol is the final bracket width in log10.
+    prob is the s = 1 member of a(s) = 1 + s (a' - 1), b(s) = s^2 b,
+    tau(s) = tau/s, with a' = a + 2 vdot_sup as in scalar_bound.  With
+    u = kappa/s the estimate is (1/s + a' - 1 + s b e^{u tau})/u + 1; its
+    minimum over s, at s = e^{-u tau/2}/sqrt(b), leaves the scalar estimate
+    of (tau/2, a' - 1, 2 sqrt(b)) with root p'.  So the optimal scale
+    s* = e^{-(p'+1)}/sqrt(b) and the slope in tau, sqrt(b) e^{p'+1}, do not
+    depend on tau; p* = 2p' + 1 and kappa* = s* u* belong to the member s*.
+    Where a' - 1 + 2 sqrt(b) < 0 the minimum lies on a(s) + b(s) = 0, at its
+    smaller root s_lo, with value s_lo b tau + 1.
     """
-    lo, hi = kappa_range
-    if not (0 < lo < hi):
-        raise InputError(f"bad scale range {kappa_range}")
-
-    def objective(kappa: float):
-        prob = family(kappa)
-        try:
-            return scalar_bound(prob)
-        except InputError:
-            return None
-
-    grid = np.logspace(math.log10(lo), math.log10(hi), prescan)
-    vals = [objective(k) for k in grid]
-    finite = [(v.d_star, i) for i, v in enumerate(vals) if v is not None]
-    if not finite:
-        raise InputError("no feasible scale in range: a(kappa)+b(kappa) < 0 everywhere")
-    _, ibest = min(finite)
-    x_lo = math.log10(grid[max(ibest - 1, 0)])
-    x_hi = math.log10(grid[min(ibest + 1, prescan - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def g(x: float) -> float:
-        v = objective(10.0**x)
-        return math.inf if v is None else v.d_star
-
-    x1 = x_hi - invphi * (x_hi - x_lo)
-    x2 = x_lo + invphi * (x_hi - x_lo)
-    g1, g2 = g(x1), g(x2)
-    while x_hi - x_lo > tol:
-        if g1 <= g2:
-            x_hi, x2, g2 = x2, x1, g1
-            x1 = x_hi - invphi * (x_hi - x_lo)
-            g1 = g(x1)
-        else:
-            x_lo, x1, g1 = x1, x2, g2
-            x2 = x_lo + invphi * (x_hi - x_lo)
-            g2 = g(x2)
-    kappa_star = 10.0 ** (0.5 * (x_lo + x_hi))
-    best = objective(kappa_star)
-    if best is None:
-        raise NumericalFailure("scale minimizer landed outside the feasible set")
+    shift = prob.a + 2.0 * prob.vdot_sup - 1.0
+    root_b = math.sqrt(prob.b)
+    if shift + 2.0 * root_b < 0.0:
+        # b s^2 + shift s + 1 = 0 has roots s_lo < s_hi with s_lo s_hi = 1/b;
+        # the discriminant is factored so that it cannot overflow
+        disc = math.sqrt(-shift - 2.0 * root_b) * math.sqrt(-shift + 2.0 * root_b)
+        s_lo = 2.0 / (disc - shift)
+        return DimensionBound(
+            s_lo * prob.b * prob.tau + 1.0, -1.0, 0.0, s_lo, "scalar-lemma-rescaled-boundary"
+        )
+    half = scalar_bound(BoundProblem(0.5 * prob.tau, shift, 2.0 * root_b))
+    s = math.exp(-(half.p_star + 1.0)) / root_b
     return DimensionBound(
-        best.d_star, best.p_star, best.kappa_opt, kappa_star, "scalar-lemma-rescaled"
+        half.d_star, 2.0 * half.p_star + 1.0, half.kappa_opt * s, s, "scalar-lemma-rescaled"
     )
 
 
@@ -241,80 +213,70 @@ def mackey_glass_lambda(beta: float, gamma: float, k: float, mode: str = "rough"
     """Bound on |F'| feeding the delayed aggregate.
 
     rough: max(1, (k-1)^2 / 4k), valid on all of R.  tight: maximum of |F'|
-    over the absorbing ball |y| <= R0, by dense grid plus local refinement.
+    over the absorbing ball |y| <= R0.  F' falls from 1 at y = 0 to its dip
+    -(k-1)^2 / 4k at y^k = (k+1)/(k-1) and rises toward 0 beyond it, so the
+    tight value is the rough one when the ball reaches the dip and
+    max(1, -F'(R0)) when it ends before.
     """
+    rough = max(1.0, (k - 1.0) ** 2 / (4.0 * k))
     if mode == "rough":
-        return max(1.0, (k - 1.0) ** 2 / (4.0 * k))
+        return rough
     if mode != "tight":
         raise InputError(f"unknown lambda mode {mode!r}")
     r0 = mackey_glass_ball_radius(beta, gamma, k)
-    ys = np.linspace(0.0, r0, 200001)
-    vals = np.abs(_mg_fprime(ys, k))
-    i = int(np.argmax(vals))
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, ys.size - 1)]
-    for _ in range(80):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if abs(_mg_fprime(np.array([a]), k)[0]) < abs(_mg_fprime(np.array([b]), k)[0]):
-            lo = a
-        else:
-            hi = b
-    return float(abs(_mg_fprime(np.array([0.5 * (lo + hi)]), k)[0]))
+    if r0 >= ((k + 1.0) / (k - 1.0)) ** (1.0 / k):
+        return rough
+    return max(1.0, -float(_mg_fprime(r0, k)))
 
 
-def mackey_glass_family(
-    beta: float, gamma: float, k: float, tau: float, lambda_mode: str = "rough"
-) -> Callable[[float], BoundProblem]:
-    """Rescaled comparison family a(s) = 1 - 2 s gamma, b(s) = (s beta Lambda)^2,
-    tau(s) = tau / s."""
+_ORIGIN_ATTRACTS = DimensionBound(0.0, -1.0, 0.0, None, "origin-global-attractor")
+
+
+def _mackey_glass_problem(
+    beta: float, gamma: float, k: float, tau: float, lambda_mode: str
+) -> BoundProblem | None:
+    """Comparison problem a = 1 - 2 gamma, b = (beta Lambda)^2 at delay tau,
+    or None where beta <= gamma: the origin then attracts everything and
+    there is nothing to estimate."""
+    if not (beta > 0 and gamma >= 0 and k > 1 and tau > 0):
+        raise InputError("need beta > 0, gamma >= 0, k > 1, tau > 0")
+    if beta <= gamma:
+        return None
     lam = mackey_glass_lambda(beta, gamma, k, lambda_mode)
-
-    def family(s: float) -> BoundProblem:
-        return BoundProblem(tau / s, 1.0 - 2.0 * s * gamma, (s * beta * lam) ** 2)
-
-    return family
+    return BoundProblem(tau, 1.0 - 2.0 * gamma, (beta * lam) ** 2)
 
 
 def mackey_glass_bound(
     beta: float, gamma: float, k: float, tau: float, lambda_mode: str = "rough"
 ) -> DimensionBound:
     """Dimension bound for the Mackey-Glass system at the given parameters."""
-    if not (beta > 0 and gamma >= 0 and k > 1 and tau > 0):
-        raise InputError("need beta > 0, gamma >= 0, k > 1, tau > 0")
-    if beta <= gamma:
-        # the origin attracts everything; nothing to estimate
-        return DimensionBound(0.0, -1.0, 0.0, None, "origin-global-attractor")
-    return scalar_bound(mackey_glass_family(beta, gamma, k, tau, lambda_mode)(1.0))
+    prob = _mackey_glass_problem(beta, gamma, k, tau, lambda_mode)
+    return _ORIGIN_ATTRACTS if prob is None else scalar_bound(prob)
 
 
 def mackey_glass_scaled_bound(
     beta: float, gamma: float, k: float, tau: float, lambda_mode: str = "rough"
 ) -> DimensionBound:
-    if beta <= gamma:
-        return DimensionBound(0.0, -1.0, 0.0, None, "origin-global-attractor")
-    return scaled_bound(mackey_glass_family(beta, gamma, k, tau, lambda_mode))
+    """Rescaled Mackey-Glass bound: scaled_bound of the family
+    a(s) = 1 - 2 s gamma, b(s) = (s beta Lambda)^2, tau(s) = tau/s."""
+    prob = _mackey_glass_problem(beta, gamma, k, tau, lambda_mode)
+    return _ORIGIN_ATTRACTS if prob is None else scaled_bound(prob)
 
 
-def suarez_schopf_family(alpha: float, gamma: float, tau: float) -> Callable[[float], BoundProblem]:
-    """Rescaled comparison family a(s) = 1 + 2 s gamma, b(s) = (s alpha)^2,
-    tau(s) = tau / s."""
-
-    def family(s: float) -> BoundProblem:
-        return BoundProblem(tau / s, 1.0 + 2.0 * s * gamma, (s * alpha) ** 2)
-
-    return family
+def _suarez_schopf_problem(alpha: float, gamma: float, tau: float) -> BoundProblem:
+    """Comparison problem a = 1 + 2 gamma, b = alpha^2 at delay tau; the cubic
+    term has nonnegative derivative and only helps, so it is dropped."""
+    if not (alpha > 0 and gamma > 0 and tau > 0):
+        raise InputError("need alpha, gamma, tau > 0")
+    return BoundProblem(tau, 1.0 + 2.0 * gamma, alpha**2)
 
 
 def suarez_schopf_bound(alpha: float, gamma: float, tau: float) -> DimensionBound:
-    """Dimension bound for the delayed-oscillator model; the cubic term has
-    nonnegative derivative and only helps, so it is dropped."""
-    if not (alpha > 0 and gamma > 0 and tau > 0):
-        raise InputError("need alpha, gamma, tau > 0")
-    return scalar_bound(suarez_schopf_family(alpha, gamma, tau)(1.0))
+    """Dimension bound for the delayed-oscillator model."""
+    return scalar_bound(_suarez_schopf_problem(alpha, gamma, tau))
 
 
 def suarez_schopf_scaled_bound(alpha: float, gamma: float, tau: float) -> DimensionBound:
-    if not (alpha > 0 and gamma > 0 and tau > 0):
-        raise InputError("need alpha, gamma, tau > 0")
-    return scaled_bound(suarez_schopf_family(alpha, gamma, tau))
+    """Rescaled delayed-oscillator bound: scaled_bound of the family
+    a(s) = 1 + 2 s gamma, b(s) = (s alpha)^2, tau(s) = tau/s."""
+    return scaled_bound(_suarez_schopf_problem(alpha, gamma, tau))

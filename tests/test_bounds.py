@@ -152,37 +152,72 @@ def test_bound_problem_validation():
 # ------------------------------------------------------------ scaled_bound
 
 
+def scan_over_scale(prob, s):
+    """Dense-scan oracle for scaled_bound: the least scalar estimate
+    tau(s) b(s) e^{p+1} + 1, p = W_0(a(s)/(b(s) e)) by scipy, over the members
+    a(s) = 1 + s (a' - 1), b(s) = s^2 b, tau(s) = tau/s of the rescaled family
+    (a' = a + 2 vdot_sup) at the scales s; members with a(s) + b(s) < 0 are
+    skipped."""
+    from scipy.special import lambertw
+
+    a = 1.0 + s * (prob.a + 2.0 * prob.vdot_sup - 1.0)
+    b = s * s * prob.b
+    ok = a + b >= 0.0
+    p = np.maximum(lambertw(a[ok] / b[ok] / math.e).real, -1.0)
+    return float((prob.tau / s[ok] * b[ok] * np.exp(p + 1.0) + 1.0).min())
+
+
 def test_scaled_bound_never_worse_and_matches_scan():
-    fam = bounds.suarez_schopf_family(0.75, 1.0, 1.596)
-    plain = bounds.scalar_bound(fam(1.0))
-    scaled = bounds.scaled_bound(fam)
-    assert scaled.d_star <= plain.d_star + 1e-9
-    assert scaled.provenance == "scalar-lemma-rescaled"
-    assert scaled.scale_opt is not None
-    # dense scan oracle over the scale parameter
-    best = math.inf
-    for s in np.logspace(-2, 1, 20001):
-        try:
-            best = min(best, bounds.scalar_bound(fam(s)).d_star)
-        except InputError:
-            pass
-    assert scaled.d_star == pytest.approx(best, rel=1e-7)
+    s = np.logspace(-2, 1, 20001)
+    for prob in (
+        bounds.BoundProblem(1.596, 3.0, 0.75**2),  # oscillator, alpha = 0.75, gamma = 1
+        bounds.BoundProblem(22.0, 0.8, (0.2 * 2.025) ** 2),  # Mackey-Glass, classical
+        bounds.BoundProblem(5.0, -0.5, 1.0),  # a' - 1 < 0, still interior
+        bounds.BoundProblem(2.0, 0.2, 1.3, vdot_sup=0.15),
+    ):
+        plain = bounds.scalar_bound(prob)
+        scaled = bounds.scaled_bound(prob)
+        assert scaled.d_star <= plain.d_star + 1e-9
+        assert scaled.provenance == "scalar-lemma-rescaled"
+        assert scaled.d_star == pytest.approx(scan_over_scale(prob, s), rel=1e-7)
+        # the fields describe the optimal member s*: its scalar estimate
+        # has root p* and rate kappa*
+        s_opt = scaled.scale_opt
+        a1 = prob.a + 2.0 * prob.vdot_sup
+        member = bounds.scalar_bound(
+            bounds.BoundProblem(prob.tau / s_opt, 1.0 + s_opt * (a1 - 1.0), s_opt**2 * prob.b)
+        )
+        assert member.d_star == pytest.approx(scaled.d_star, rel=1e-12)
+        assert member.p_star == pytest.approx(scaled.p_star, rel=1e-9, abs=1e-12)
+        assert member.kappa_opt == pytest.approx(scaled.kappa_opt, rel=1e-9)
 
 
-def test_scaled_bound_bad_range():
-    fam = bounds.suarez_schopf_family(0.75, 1.0, 1.596)
-    with pytest.raises(InputError):
-        bounds.scaled_bound(fam, kappa_range=(1.0, 0.5))
-    with pytest.raises(InputError):
-        bounds.scaled_bound(fam, kappa_range=(-1.0, 2.0))
+def test_scaled_bound_boundary_regime():
+    # a' - 1 + 2 sqrt(b) = -5 + 4 < 0: the members with a(s) + b(s) =
+    # 4 s^2 - 5 s + 1 >= 0 are s <= 1/4 and s >= 1, and the least estimate is
+    # the boundary value s b tau + 1 = 2 at s = 1/4; a golden-section search
+    # over s stopped at 2.00218
+    prob = bounds.BoundProblem(1.0, -4.0, 4.0)
+    res = bounds.scaled_bound(prob)
+    assert res.d_star == pytest.approx(2.0, rel=1e-15)
+    assert res.scale_opt == pytest.approx(0.25, rel=1e-15)
+    assert (res.p_star, res.kappa_opt) == (-1.0, 0.0)
+    assert res.provenance == "scalar-lemma-rescaled-boundary"
+    # the scan only approaches the boundary value, like sqrt(1/4 - s)
+    scan = scan_over_scale(prob, np.logspace(-4, 2, 20001))
+    assert res.d_star <= scan <= res.d_star + 0.05
+    scan = scan_over_scale(prob, 0.25 - np.logspace(-14, -1, 2001))
+    assert res.d_star <= scan <= res.d_star + 1e-5
 
 
-def test_scaled_bound_no_feasible_scale():
-    def fam(s):
-        return bounds.BoundProblem(1.0 / s, -10.0, (0.1 * s) ** 2)
-
-    with pytest.raises(InputError):
-        bounds.scaled_bound(fam, kappa_range=(0.5, 2.0))
+def test_scaled_bound_scale_and_slope_do_not_depend_on_tau():
+    runs = [(tau, bounds.mackey_glass_scaled_bound(0.2, 0.1, 10.0, tau))
+            for tau in (2.0, 22.0, 100.0, 1e4)]
+    slope = (runs[0][1].d_star - 1.0) / runs[0][0]
+    for tau, res in runs:
+        assert (res.d_star - 1.0) / tau == pytest.approx(slope, rel=1e-13)
+        assert res.scale_opt == runs[0][1].scale_opt
+        assert res.p_star == runs[0][1].p_star
 
 
 # ------------------------------------------------------------ alpha_plus
@@ -231,16 +266,21 @@ def test_mackey_glass_lambda_rough():
 
 
 def test_mackey_glass_lambda_tight_le_rough():
-    for k in (4.0, 7.0, 10.0):
-        tight = bounds.mackey_glass_lambda(2.0, 1.0, k, mode="tight")
-        rough = bounds.mackey_glass_lambda(2.0, 1.0, k, mode="rough")
+    # beta/gamma = 2 reaches the dip of F' for every k; 1.2 at k = 20 ends
+    # inside it (tight 4.29087, rough 4.5125), and 1.3 at k = 8 ends where
+    # |F'| < 1
+    for beta, k in ((2.0, 4.0), (2.0, 7.0), (2.0, 10.0), (1.2, 20.0), (1.3, 8.0)):
+        tight = bounds.mackey_glass_lambda(beta, 1.0, k, mode="tight")
+        rough = bounds.mackey_glass_lambda(beta, 1.0, k, mode="rough")
         assert tight <= rough + 1e-12
         # oracle: dense max of |F'| over the ball
-        r0 = bounds.mackey_glass_ball_radius(2.0, 1.0, k)
+        r0 = bounds.mackey_glass_ball_radius(beta, 1.0, k)
         ys = np.linspace(0.0, r0, 2000001)
         yk = ys**k
         grid = float(np.abs((1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2).max())
         assert tight == pytest.approx(grid, rel=1e-9)
+    assert bounds.mackey_glass_lambda(1.2, 1.0, 20.0, mode="tight") == pytest.approx(
+        4.29087, abs=5e-6)
 
 
 def test_mackey_glass_ball_radius():

@@ -66,6 +66,15 @@ def test_bound_suarez_schopf_scaled(capsys):
     assert row["provenance"] == "scalar-lemma-rescaled"
 
 
+def test_scaled_bound_checks_what_the_bound_checks(capsys):
+    mg = ["bound", "--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10",
+          "--tau", "22"]
+    for bad in (["--beta", "-1"], ["--k", "0.5"], ["--tau", "-5"]):
+        unscaled = run_cli(mg + bad, capsys)
+        assert unscaled[0] == 2 and "need beta > 0, gamma >= 0, k > 1, tau > 0" in unscaled[2]
+        assert run_cli(mg + bad + ["--scaled"], capsys) == unscaled
+
+
 def test_bound_custom_json(capsys):
     rc, out, _ = run_cli(
         ["bound", "--model", "custom", "--a", "0.8", "--b", "0.164025",

@@ -206,6 +206,53 @@ def test_evp_rejects_moving_base_points():
     coc = cy.MatrixCocycle((0,), lambda q: q + 1, lambda q, t: np.eye(2), 2, 1.0)
     with pytest.raises(InputError):
         cy.evp_finite_base(coc, 1)
+    fixed = cy.MatrixCocycle((0,), lambda q: q, lambda q, t: np.eye(2), 2, 1.0)
+    for m in (0, 3):
+        with pytest.raises(InputError):
+            cy.evp_finite_base(fixed, m)
+
+
+def power_cocycle(M: np.ndarray, h: float) -> cy.MatrixCocycle:
+    """One equilibrium whose fiber over k steps of h is M^k."""
+    return cy.MatrixCocycle(
+        ("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M, round(t / h)), M.shape[0], h
+    )
+
+
+def test_evp_non_normal_triangular():
+    # the rates are sums of the m largest log|M_ii| / h, however large the
+    # off-diagonal part; finite horizons see the transient growth instead
+    diag = np.array([1.5, -3.0, 0.2, 0.9])
+    M = np.diag(diag) + np.triu(np.random.default_rng(5).normal(scale=50.0, size=(4, 4)), 1)
+    h = 0.5
+    logs = np.sort(np.log(np.abs(diag)))[::-1]
+    for m in range(1, 5):
+        rate = cy.evp_finite_base(power_cocycle(M, h), m).max_rate
+        assert rate == pytest.approx(logs[:m].sum() / h, abs=1e-12)
+
+
+def test_evp_rotation_scaling_pair_split_by_m():
+    # eigenvalues 0.8 e^{+-i 0.7} and 2: m = 2 takes 2 and half of the pair
+    th = 0.7
+    M = np.zeros((3, 3))
+    M[:2, :2] = 0.8 * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    M[2, 2] = 2.0
+    M[0, 2] = 5.0
+    want = np.cumsum([math.log(2.0), math.log(0.8), math.log(0.8)]) / 0.25
+    for m in range(1, 4):
+        assert cy.evp_finite_base(power_cocycle(M, 0.25), m).max_rate == pytest.approx(
+            want[m - 1], abs=1e-12
+        )
+
+
+def test_evp_zero_eigenvalue_is_minus_infinity_without_warning():
+    M = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = [cy.evp_finite_base(power_cocycle(M, 1.0), m).max_rate for m in (1, 2, 3)]
+    assert rates[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert rates[1] == pytest.approx(0.0, abs=1e-12)
+    assert rates[2] == -math.inf
 
 
 # ---------------------------------------------------- kaplan_yorke

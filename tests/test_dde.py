@@ -297,6 +297,39 @@ def test_monodromy_eigenvalues_mackey_glass_equilibrium():
     assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "model, xbar, a, b",
+    [
+        # x^10 = beta/gamma - 1 = 1: a = -gamma, b = beta F'(1) = 0.2 (1 - 9)/4
+        (dde.mackey_glass(0.2, 0.1, 10.0, 22.0), 1.0, -0.1, -0.4),
+        # x^2 = gamma - alpha: a = gamma - 3 x^2, b = -alpha
+        (dde.suarez_schopf(0.75, 22.0), 0.5, 0.25, -0.75),
+    ],
+    ids=["mackey_glass-plus", "suarez_schopf-plus"],
+)
+def test_equilibrium_volume_rates_converge_to_char_roots(model, xbar, a, b):
+    # at an equilibrium the linearized cocycle is constant, so the m-volume
+    # rates of one window's monodromy (evp_finite_base) are partial sums of
+    # the characteristic roots' real parts, to fourth order in tau/N, and
+    # their Kaplan-Yorke value is the local dimension (6.87 and 17.41 here)
+    tau = model.tau
+    roots = cr.char_roots(cr.CharProblem(a, b, tau), 24)
+    want = np.cumsum(roots.real_parts()[:16])
+    local_dim = cr.local_dimension(roots)
+    errs, ky_errs = [], []
+    for N in (32, 64, 128):
+        traj = dde.integrate(model, dde.HistorySegment.constant(xbar, tau), tau, tau / N)
+        M = dde.linearized_monodromy(model, traj, 0.0, N)
+        coc = cocycle.MatrixCocycle(("plus",), lambda q: q, lambda q, t: M, M.shape[0], tau)
+        sums = np.array([cocycle.evp_finite_base(coc, m).max_rate for m in range(1, 21)])
+        errs.append(np.abs(sums[:16] - want).max())
+        ky_errs.append(abs(cocycle.kaplan_yorke(np.diff(sums, prepend=0.0), 20) - local_dim))
+    # measured: the errors shrink about 15 times per doubling of N
+    assert errs[0] >= 10.0 * errs[1] >= 100.0 * errs[2]
+    assert ky_errs[0] >= 10.0 * ky_errs[1] >= 100.0 * ky_errs[2]
+    assert ky_errs[2] <= 1e-4 * local_dim
+
+
 def test_monodromy_composition_exact():
     model = dde.linear_scalar(-1.0, 0.5, 1.0)
     traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 5.0, 1.0 / 32)
