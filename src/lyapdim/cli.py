@@ -533,11 +533,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def _power_fiber(E: np.ndarray, h: float):
-    """Fiber of the constant cocycle with one-step propagator E = exp(A h)."""
-    return lambda q, t: np.linalg.matrix_power(E, round(t / h))
-
-
 def _suite_cocycle(seed: int):
     rng = np.random.default_rng(seed)
     checks = []
@@ -546,9 +541,9 @@ def _suite_cocycle(seed: int):
         n = int(rng.integers(2, 5))
         A = rng.normal(size=(n, n))
         E = _expm(A)
-        coc = cocycle.MatrixCocycle((0,), lambda q: q, _power_fiber(E, 1.0), n, 1.0)
+        coc = cocycle.MatrixCocycle((0,), lambda q: q, lambda q: E, n, 1.0)
         m = int(rng.integers(1, n + 1))
-        g = cocycle.volume_growth_qr(coc, 0, m, 5.0, 1.0)
+        g = cocycle.volume_growth_qr(coc, 0, m, 5.0)
         # the SVD gets the small singular values of expm(5A) to an absolute,
         # not relative, error, so a sum of their logs can miss the
         # tolerance; the full volume is exact by Liouville's formula, and
@@ -561,12 +556,12 @@ def _suite_cocycle(seed: int):
             direct = math.log(np.linalg.norm(tensor.compound_multiplicative(E5, m), 2))
         ok = ok and abs(g.log_omega - direct) <= 1e-6
         # full-dimension long horizon against determinant multiplicativity
-        g_n = cocycle.volume_growth_qr(coc, 0, n, 20.0, 1.0)
+        g_n = cocycle.volume_growth_qr(coc, 0, n, 20.0)
         ok = ok and abs(g_n.log_omega - 20.0 * np.linalg.slogdet(E)[1]) <= 1e-8
     checks.append(("QR matches product SVD", ok, ""))
     rates = [np.diag([1.0, -1.0, -1.0]), np.diag([0.5, 0.0, -1.0]), np.diag([0.2, 0.2, 0.2])]
     coc = cocycle.MatrixCocycle(
-        (0, 1, 2), lambda q: q, lambda q, t: np.diag(np.exp(np.diag(rates[q]) * t)), 3, 1.0
+        (0, 1, 2), lambda q: q, lambda q: np.diag(np.exp(np.diag(rates[q]))), 3, 1.0
     )
     rep = cocycle.uniform_exponents(coc, 3, 32.0)
     ok = np.allclose(rep.lambdas, [1.0, -0.5, 0.1], atol=1e-12)
@@ -578,9 +573,10 @@ def _suite_cocycle(seed: int):
     for _ in range(5):
         n = 3
         A = rng.normal(size=(n, n)) - 1.5 * np.eye(n)
-        coc = cocycle.MatrixCocycle((0,), lambda q: q, _power_fiber(_expm(A * 0.5), 0.5), n, 0.5)
+        E = _expm(A * 0.5)
+        coc = cocycle.MatrixCocycle((0,), lambda q: q, lambda q: E, n, 0.5)
         ky = cocycle.kaplan_yorke(cocycle.uniform_exponents(coc, n, 40.0).lambdas, n)
-        ld = cocycle.lyapunov_dimension(coc, 40.0, 1e-9).value
+        ld = cocycle.lyapunov_dimension(coc, 40.0).value
         ok = ok and (ky - 1.0 < ld + 1e-6) and (ld <= ky + 1e-6)
     checks.append(("dimension sandwich", ok, ""))
     return checks

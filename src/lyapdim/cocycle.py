@@ -1,7 +1,8 @@
-"""Finite-dimensional cocycle laboratory.
+"""Finite-dimensional cocycle laboratory, sampled at one step h: fiber(q) is
+the propagator over one step from base state q, and horizons are whole steps.
 
 Volume growth by QR re-orthonormalization, uniform Lyapunov exponents as
-maxima of per-base growth rates, Kaplan-Yorke and Lyapunov dimensions,
+maxima of per-base growth rates, Kaplan-Yorke and exact Lyapunov dimensions,
 Lyapunov metrics with their infinitesimal growth exponents, a Liouville
 trace-formula checker, and the finite-base variational principle.
 """
@@ -38,9 +39,9 @@ __all__ = [
 class MatrixCocycle:
     """A matrix cocycle over a finite collection of labeled base states.
 
-    base_step advances a base state by one sampling step h; fiber(q, t) is the
-    n x n propagator over elapsed time t (a multiple of h) starting at q, with
-    fiber(q, 0) = I and the usual composition rule along the base orbit.
+    base_step advances a base state by one sampling step h; fiber(q) is the
+    n x n propagator over that one step starting at q.  The propagator over k
+    steps is the product fiber(q_{k-1}) ... fiber(q_0) along the base orbit.
     """
 
     base_points: tuple
@@ -48,11 +49,6 @@ class MatrixCocycle:
     fiber: Callable
     dim: int
     h: float = 1.0
-
-    def advance(self, q, k: int):
-        for _ in range(k):
-            q = self.base_step(q)
-        return q
 
 
 class VolumeGrowth(NamedTuple):
@@ -85,21 +81,14 @@ class EvpResult(NamedTuple):
     max_rate: float
 
 
-def _steps_of(T: float, dt: float) -> int:
-    k = round(T / dt)
-    if k < 1 or abs(k * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise InputError(f"dt={dt} does not divide T={T}")
+def _steps_of(T: float, h: float) -> int:
+    k = round(T / h)
+    if k < 1 or abs(k * h - T) > 1e-9 * max(1.0, abs(T)):
+        raise InputError(f"step {h} does not divide T={T}")
     return k
 
 
-def _substeps_of(dt: float, h: float) -> int:
-    k = round(dt / h)
-    if k < 1 or abs(k * h - dt) > 1e-9 * max(1.0, abs(dt)):
-        raise InputError(f"dt={dt} is not a multiple of the base step h={h}")
-    return k
-
-
-def _seed_frame(coc: MatrixCocycle, q, m: int, dt: float, steps: int) -> np.ndarray:
+def _seed_frame(coc: MatrixCocycle, q, m: int, steps: int) -> np.ndarray:
     """Initial m-frame: right singular vectors of a short leading product.
 
     Aligning the frame with the dominant singular subspace makes the
@@ -107,11 +96,11 @@ def _seed_frame(coc: MatrixCocycle, q, m: int, dt: float, steps: int) -> np.ndar
     lagging it by the fixed misalignment of an arbitrary start frame.
     """
     probe = min(steps, 64)
-    P = coc.fiber(q, dt)
+    P = coc.fiber(q)
     for i in range(probe):
         if i > 0:
-            P = coc.fiber(q, dt) @ P
-        q = coc.advance(q, _substeps_of(dt, coc.h))
+            P = coc.fiber(q) @ P
+        q = coc.base_step(q)
         nrm = np.linalg.norm(P)
         if nrm > 1e100 or (0.0 < nrm < 1e-100):
             P = P / nrm
@@ -119,9 +108,9 @@ def _seed_frame(coc: MatrixCocycle, q, m: int, dt: float, steps: int) -> np.ndar
     return Vh[:m].conj().T
 
 
-def volume_growth_qr(coc: MatrixCocycle, q, m: int, T: float, dt: float) -> VolumeGrowth:
-    """log omega_k(fiber(q, T)) for every k <= m, accumulated by one pass of
-    QR re-orthonormalization.
+def volume_growth_qr(coc: MatrixCocycle, q, m: int, T: float) -> VolumeGrowth:
+    """log omega_k of the propagator over [0, T] from q, for every k <= m,
+    accumulated by one pass of QR re-orthonormalization, one step h at a time.
 
     log_r[i, k] is log|R_kk| at step i.  Householder QR treats the leading
     columns of the nested seed frame first, so the column sums of log_r[:, :k]
@@ -132,13 +121,12 @@ def volume_growth_qr(coc: MatrixCocycle, q, m: int, T: float, dt: float) -> Volu
     """
     if not 1 <= m <= coc.dim:
         raise InputError(f"need 1 <= m <= {coc.dim}, got {m}")
-    steps = _steps_of(T, dt)
-    sub = _substeps_of(dt, coc.h)
-    Q = _seed_frame(coc, q, m, dt, steps)
+    steps = _steps_of(T, coc.h)
+    Q = _seed_frame(coc, q, m, steps)
     log_r = np.full((steps, m), -math.inf)
     for i in range(steps):
-        Z = coc.fiber(q, dt) @ Q
-        q = coc.advance(q, sub)
+        Z = coc.fiber(q) @ Q
+        q = coc.base_step(q)
         Q, R = np.linalg.qr(Z)
         d = np.abs(np.diag(R))
         ok = (d > 0.0) & np.isfinite(d)
@@ -151,18 +139,16 @@ def volume_growth_qr(coc: MatrixCocycle, q, m: int, T: float, dt: float) -> Volu
     return VolumeGrowth(float(per_step.sum()), per_step, Q.shape[1] < m, log_r)
 
 
-def _log_omega_table(coc: MatrixCocycle, m: int, T: float, dt: float) -> np.ndarray:
+def _log_omega_table(coc: MatrixCocycle, m: int, T: float) -> np.ndarray:
     """log omega_k over [0, T] for k = 0..m (columns) at each base point
     (rows), one order-m pass per base point."""
     table = np.zeros((len(coc.base_points), m + 1))
     for i, q in enumerate(coc.base_points):
-        table[i, 1:] = np.cumsum(volume_growth_qr(coc, q, m, T, dt).log_r.sum(axis=0))
+        table[i, 1:] = np.cumsum(volume_growth_qr(coc, q, m, T).log_r.sum(axis=0))
     return table
 
 
-def uniform_exponents(
-    coc: MatrixCocycle, m_max: int, T: float, dt: float | None = None
-) -> ExponentReport:
+def uniform_exponents(coc: MatrixCocycle, m_max: int, T: float) -> ExponentReport:
     """Uniform exponents from differenced maxima of m-volume growth.
 
     The sum of the first m exponents is the max over base points of the
@@ -172,8 +158,7 @@ def uniform_exponents(
     """
     if not 1 <= m_max <= coc.dim:
         raise InputError(f"need 1 <= m_max <= {coc.dim}, got {m_max}")
-    dt = coc.h if dt is None else dt
-    sums = _log_omega_table(coc, m_max, T, dt).max(axis=0)
+    sums = _log_omega_table(coc, m_max, T).max(axis=0)
     # a collapsed order (log omega = -inf) keeps exponent -inf, where
     # differencing would take -inf - -inf
     lam = np.full(m_max, -math.inf)
@@ -201,39 +186,31 @@ def kaplan_yorke(lambdas: Sequence[float], n: int) -> float:
     return j + math.fsum(lam[:j].tolist()) / abs(float(lam[j])) if j > 0 else 0.0
 
 
-def lyapunov_dimension(
-    coc: MatrixCocycle, T: float, tol: float = 1e-6, dt: float | None = None
-) -> DimensionResult:
+def lyapunov_dimension(coc: MatrixCocycle, T: float) -> DimensionResult:
     """inf of the orders d where the sup-over-base d-volume growth is negative.
 
-    log omega_d interpolates linearly between integer orders, so the sup rate
-    has a single down-crossing located by bisection; a cocycle that never
-    contracts volumes saturates at the ambient dimension.
+    log omega_{m+g} = (1 - g) t_m + g t_{m+1} is linear in g, so on [m, m + 1]
+    the d where every base point contracts is an intersection of half-lines,
+    whose start is exact; a cocycle that never contracts saturates at dim.
     """
-    dt = coc.h if dt is None else dt
     n = coc.dim
-    table = _log_omega_table(coc, n, T, dt)
-
-    def rate(d: float) -> float:
-        m = int(math.floor(d))
-        g = d - m
-        # at integer d, table[:, m + 1] may be -inf (collapsed) or absent (m = n)
-        vals = table[:, m] if g == 0.0 else (1.0 - g) * table[:, m] + g * table[:, m + 1]
-        return float(vals.max()) / T
-
-    if rate(float(n)) >= 0.0:
+    table = _log_omega_table(coc, n, T)
+    if table[:, n].max() >= 0.0:
         return DimensionResult(float(n), True)
-    lo, hi = 0.0, float(n)
-    lam1 = rate(1.0)
-    if lam1 < 0.0 and rate(min(tol, 1.0)) < 0.0:
-        return DimensionResult(0.0, False)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return DimensionResult(hi, False)
+    for m in range(n):
+        # a collapsed order (t_{m+1} = -inf) is negative for every g > 0
+        live = table[:, m + 1] > -math.inf
+        a = table[live, m]
+        s = table[live, m + 1] - a
+        # a + g s is never negative when a, s >= 0; otherwise a falling line
+        # is negative past g = a/(-s) and a rising one before it
+        if (a[s >= 0.0] >= 0.0).any():
+            continue
+        g_lo = float((a[s < 0.0] / -s[s < 0.0]).max(initial=0.0))
+        g_hi = float((-a[s > 0.0] / s[s > 0.0]).min(initial=1.0))
+        if g_lo < g_hi:
+            return DimensionResult(m + g_lo, False)
+    return DimensionResult(float(n), False)
 
 
 def lyapunov_metric(
@@ -243,14 +220,14 @@ def lyapunov_metric(
     p: float,
     q,
     xi: np.ndarray,
-    dt: float | None = None,
 ) -> MetricResult:
     """Adapted-norm value n_q(xi) = (int_0^T ||e^{-nu t} Xi^t xi||^p dt)^{1/p}
     and the infinitesimal growth exponent it certifies.
 
     alpha = nu + (||e^{-nu T} Xi^T xi||^p - ||xi||^p) / (p n_q^p); when the
     observed growth of xi over [0, T] reaches nu the result carries a warning
-    flag (nu was not actually above the top exponent).
+    flag (nu was not actually above the top exponent); an annihilated xi
+    has growth -inf and never warns.
     """
     if p < 1:
         raise InputError(f"need p >= 1, got {p}")
@@ -258,22 +235,20 @@ def lyapunov_metric(
     nx = float(np.linalg.norm(xi))
     if nx == 0.0:
         raise InputError("xi = 0 gives a degenerate metric value")
-    dt = coc.h if dt is None else dt
-    steps = _steps_of(T, dt)
-    sub = _substeps_of(dt, coc.h)
+    steps = _steps_of(T, coc.h)
     norms = np.zeros(steps + 1)
     norms[0] = nx
     v = xi.copy()
     for i in range(steps):
-        v = coc.fiber(q, dt) @ v
-        q = coc.advance(q, sub)
+        v = coc.fiber(q) @ v
+        q = coc.base_step(q)
         norms[i + 1] = np.linalg.norm(v)
-    t_grid = dt * np.arange(steps + 1)
+    t_grid = coc.h * np.arange(steps + 1)
     integrand = (np.exp(-nu * t_grid) * norms) ** p
-    integral = _composite_quadrature(integrand, dt)
+    integral = _composite_quadrature(integrand, coc.h)
     n_q = integral ** (1.0 / p)
     alpha = nu + (integrand[-1] - integrand[0]) / (p * integral)
-    warned = (math.log(norms[-1]) - math.log(norms[0])) / T >= nu
+    warned = bool(norms[-1] > 0.0 and (math.log(norms[-1]) - math.log(nx)) / T >= nu)
     return MetricResult(n_q, alpha, warned)
 
 
@@ -348,7 +323,7 @@ def evp_finite_base(coc: MatrixCocycle, m: int) -> EvpResult:
     rates = []
     for q in coc.base_points:
         with np.errstate(divide="ignore"):
-            log_mod = np.log(np.abs(np.linalg.eigvals(coc.fiber(q, coc.h))))
+            log_mod = np.log(np.abs(np.linalg.eigvals(coc.fiber(q))))
         rates.append((q, float(np.sort(log_mod)[::-1][:m].sum()) / coc.h))
     return EvpResult(rates, max(r for _, r in rates))
 

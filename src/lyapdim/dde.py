@@ -41,17 +41,14 @@ class DelayModel:
     """Single-delay system x'(t) = rhs(t, x(t), x(t - tau)).
 
     jac(t, x, xd) returns the pair of Jacobians (d rhs/d x, d rhs/d xd),
-    each of shape (..., n, n); period marks time-periodic forcing.  rhs and
-    jac must accept batched states of shape (..., n), and jac receives t
-    batched like the states, with shape (...).
+    each of shape (..., n, n).  rhs and jac must accept batched states of
+    shape (..., n), and jac receives t batched like them, with shape (...).
     """
 
     n: int
     tau: float
     rhs: Callable
     jac: Callable
-    period: float | None = None
-    name: str = ""
 
 
 class BallReport(NamedTuple):
@@ -88,7 +85,7 @@ def mackey_glass(beta: float, gamma: float, k: float, tau: float) -> DelayModel:
         one = np.ones_like(np.asarray(x, dtype=float))
         return -gamma * one[..., None], (beta * _mg_fprime(xd, k))[..., None]
 
-    return DelayModel(1, tau, rhs, jac, None, "mackey-glass")
+    return DelayModel(1, tau, rhs, jac)
 
 
 def mackey_glass_equilibria(beta: float, gamma: float, k: float) -> tuple[float, ...]:
@@ -109,9 +106,7 @@ def suarez_schopf(alpha: float, tau: float, forcing: float = 0.0, gamma: float =
         x = np.asarray(x, dtype=float)
         return (gamma - 3.0 * x**2)[..., None], np.full_like(x, -alpha)[..., None]
 
-    return DelayModel(
-        1, tau, rhs, jac, 2.0 * math.pi if forcing else None, "suarez-schopf"
-    )
+    return DelayModel(1, tau, rhs, jac)
 
 
 def suarez_schopf_equilibria(alpha: float, gamma: float = 1.0) -> tuple[float, ...]:
@@ -133,7 +128,7 @@ def linear_scalar(a: float, b: float, tau: float) -> DelayModel:
         x = np.asarray(x, dtype=float)
         return np.full_like(x, a)[..., None], np.full_like(x, b)[..., None]
 
-    return DelayModel(1, tau, rhs, jac, None, "linear-scalar")
+    return DelayModel(1, tau, rhs, jac)
 
 
 def _hermite(u, v0, d0, v1, d1, h):
@@ -521,25 +516,17 @@ def numerical_lyapunov_spectrum(
             cache[w] = linearized_monodromy(model, traj, (burn_windows + w) * tau, N)
         return cache[w]
 
-    def fiber(idx, t):
-        # windows idx, idx + 1, ..., latest on the left; t is a whole
-        # number (>= 1) of windows, since the cocycle step h is tau
-        P = window(idx)
-        for w in range(idx + 1, idx + round(t / tau)):
-            P = window(w) @ P
-        return P
-
+    # one cocycle step is one window, built once: the pass starts at window
+    # `warmup` (windows 0 and 1 are integrated but never used), and
+    # _seed_frame reads the windows it then accumulates to align the frame
     coc = cocycle.MatrixCocycle(
         base_points=(0,),
         base_step=lambda q: q + 1,
-        fiber=fiber,
+        fiber=window,
         dim=model.n * (N + 1),
         h=tau,
     )
-    # the pass starts at window `warmup`: windows 0 and 1 are integrated but
-    # never used, and _seed_frame aligns the frame on the windows it then
-    # accumulates
-    log_r = cocycle.volume_growth_qr(coc, warmup, m, windows * tau, tau).log_r
+    log_r = cocycle.volume_growth_qr(coc, warmup, m, windows * tau).log_r
     half = windows // 2
     lam = log_r.sum(axis=0) / (windows * tau)
     lam_half = log_r[half:].sum(axis=0) / ((windows - half) * tau)

@@ -229,7 +229,7 @@ def test_c09_nonmonotone_exponents():
     coc = cy.MatrixCocycle(
         tuple(table),
         lambda q: q,
-        lambda q, t: np.diag(np.exp(t * np.asarray(table[q]))),
+        lambda q: np.diag(np.exp(0.5 * np.asarray(table[q]))),
         3,
         0.5,
     )

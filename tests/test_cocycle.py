@@ -18,25 +18,14 @@ from lyapdim.errors import InputError
 
 
 def constant_cocycle(A: np.ndarray, h: float = 0.25) -> cy.MatrixCocycle:
-    n = A.shape[0]
-    cache = {}
-
-    def fiber(q, t):
-        key = round(t / h)
-        if key not in cache:
-            cache[key] = expm(t * A)
-        return cache[key]
-
-    return cy.MatrixCocycle(("o",), lambda q: q, fiber, n, h)
+    E = expm(h * A)
+    return cy.MatrixCocycle(("o",), lambda q: q, lambda q: E, A.shape[0], h)
 
 
 def diag_equilibria(rate_table: dict, h: float = 0.5) -> cy.MatrixCocycle:
     n = len(next(iter(rate_table.values())))
-
-    def fiber(q, t):
-        return np.diag(np.exp(t * np.asarray(rate_table[q], dtype=float)))
-
-    return cy.MatrixCocycle(tuple(rate_table), lambda q: q, fiber, n, h)
+    steps = {q: np.diag(np.exp(h * np.asarray(r, dtype=float))) for q, r in rate_table.items()}
+    return cy.MatrixCocycle(tuple(rate_table), lambda q: q, steps.__getitem__, n, h)
 
 
 # ------------------------------------------------------- volume_growth_qr
@@ -52,7 +41,7 @@ def test_qr_volume_matches_svd_short_horizon():
         P = expm(T * A)
         assert np.linalg.cond(P) < 1e8
         for m in range(1, n + 1):
-            g = cy.volume_growth_qr(coc, "o", m, T, 0.25)
+            g = cy.volume_growth_qr(coc, "o", m, T)
             assert not g.collapsed
             assert g.log_omega == pytest.approx(
                 math.log(tensor.omega_d(P, m)), rel=1e-9, abs=1e-9
@@ -68,7 +57,7 @@ def test_qr_full_volume_matches_trace_long_horizon():
         A = r.normal(size=(n, n))
         coc = constant_cocycle(A)
         T = 40.0
-        g = cy.volume_growth_qr(coc, "o", n, T, 0.25)
+        g = cy.volume_growth_qr(coc, "o", n, T)
         assert g.log_omega == pytest.approx(T * np.trace(A), rel=1e-10)
 
 
@@ -80,7 +69,7 @@ def test_qr_volume_time_varying_product():
     coc = cy.MatrixCocycle(
         tuple(range(k)),
         lambda q: (q + 1) % k,
-        lambda q, t: mats[q] if round(t) == 1 else np.eye(n),
+        mats.__getitem__,
         n,
         1.0,
     )
@@ -88,7 +77,7 @@ def test_qr_volume_time_varying_product():
     for M in mats:
         P = M @ P
     for m in (1, 2, 3):
-        g = cy.volume_growth_qr(coc, 0, m, float(k), 1.0)
+        g = cy.volume_growth_qr(coc, 0, m, float(k))
         assert g.log_omega == pytest.approx(
             math.log(tensor.omega_d(P, m)), rel=1e-10, abs=1e-10
         )
@@ -96,8 +85,8 @@ def test_qr_volume_time_varying_product():
 
 def test_qr_volume_collapse_flag():
     M = np.diag([1.0, 0.0])
-    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q, t: M, 2, 1.0)
-    g = cy.volume_growth_qr(coc, "o", 2, 4.0, 1.0)
+    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q: M, 2, 1.0)
+    g = cy.volume_growth_qr(coc, "o", 2, 4.0)
     assert g.collapsed
     assert g.log_omega == -math.inf
 
@@ -112,7 +101,7 @@ def test_one_pass_gives_every_order():
         T = 4.0
         P = expm(T * A)
         assert np.linalg.cond(P) < 1e8
-        g = cy.volume_growth_qr(constant_cocycle(A), "o", n, T, 0.25)
+        g = cy.volume_growth_qr(constant_cocycle(A), "o", n, T)
         assert g.log_r.shape == (16, n)
         want = np.cumsum(np.log(np.linalg.svd(P, compute_uv=False)))
         assert np.allclose(np.cumsum(g.log_r.sum(axis=0)), want, rtol=0.0, atol=1e-8)
@@ -120,41 +109,37 @@ def test_one_pass_gives_every_order():
 
 def test_qr_collapse_keeps_lower_orders():
     M = np.diag([2.0, 0.5, 0.0])
-    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M, round(t)), 3, 1.0)
-    g = cy.volume_growth_qr(coc, "o", 3, 4.0, 1.0)
+    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q: M, 3, 1.0)
+    g = cy.volume_growth_qr(coc, "o", 3, 4.0)
     assert g.collapsed and g.log_omega == -math.inf
     assert np.isfinite(g.log_r[:, :2]).all()
     assert np.isneginf(g.log_r[:, 2]).all()
     # the orders below the collapse run on as their own passes would
-    g2 = cy.volume_growth_qr(coc, "o", 2, 4.0, 1.0)
+    g2 = cy.volume_growth_qr(coc, "o", 2, 4.0)
     assert not g2.collapsed
     assert np.allclose(g.log_r[:, :2], g2.log_r, rtol=0.0, atol=1e-15)
     rep = cy.uniform_exponents(coc, 3, T=4.0)
     assert rep.lambdas[:2] == pytest.approx([math.log(2.0), math.log(0.5)], abs=1e-15)
     assert rep.lambdas[2] == -math.inf
     # two collapsed orders: each reads -inf, not -inf - -inf = nan, and the
-    # dimension never weighs a collapsed order by 0 at integer d
+    # dimension stops where the first collapse starts, with no 0 * -inf
     M0 = np.diag([2.0, 0.0, 0.0])
-    coc0 = cy.MatrixCocycle(
-        ("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M0, round(t)), 3, 1.0
-    )
+    coc0 = cy.MatrixCocycle(("o",), lambda q: q, lambda q: M0, 3, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep0 = cy.uniform_exponents(coc0, 3, T=4.0)
         dim0 = cy.lyapunov_dimension(coc0, 4.0)
     assert rep0.lambdas[0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert rep0.lambdas[1] == rep0.lambdas[2] == -math.inf
-    assert not dim0.saturated and dim0.value == pytest.approx(1.0, abs=1e-6)
+    assert dim0 == (1.0, False)
 
 
 def test_qr_volume_validation():
     coc = constant_cocycle(np.eye(2))
     with pytest.raises(InputError):
-        cy.volume_growth_qr(coc, "o", 3, 1.0, 0.25)
+        cy.volume_growth_qr(coc, "o", 3, 1.0)
     with pytest.raises(InputError):
-        cy.volume_growth_qr(coc, "o", 1, 1.1, 0.25)  # dt does not divide T
-    with pytest.raises(InputError):
-        cy.volume_growth_qr(coc, "o", 1, 1.0, 0.1)  # dt not a multiple of h
+        cy.volume_growth_qr(coc, "o", 1, 1.1)  # h = 0.25 does not divide T
 
 
 # ---------------------------------------------------- uniform exponents
@@ -203,20 +188,18 @@ def test_uniform_exponents_match_evp():
 
 
 def test_evp_rejects_moving_base_points():
-    coc = cy.MatrixCocycle((0,), lambda q: q + 1, lambda q, t: np.eye(2), 2, 1.0)
+    coc = cy.MatrixCocycle((0,), lambda q: q + 1, lambda q: np.eye(2), 2, 1.0)
     with pytest.raises(InputError):
         cy.evp_finite_base(coc, 1)
-    fixed = cy.MatrixCocycle((0,), lambda q: q, lambda q, t: np.eye(2), 2, 1.0)
+    fixed = cy.MatrixCocycle((0,), lambda q: q, lambda q: np.eye(2), 2, 1.0)
     for m in (0, 3):
         with pytest.raises(InputError):
             cy.evp_finite_base(fixed, m)
 
 
 def power_cocycle(M: np.ndarray, h: float) -> cy.MatrixCocycle:
-    """One equilibrium whose fiber over k steps of h is M^k."""
-    return cy.MatrixCocycle(
-        ("o",), lambda q: q, lambda q, t: np.linalg.matrix_power(M, round(t / h)), M.shape[0], h
-    )
+    """One equilibrium whose fiber over one step h is M."""
+    return cy.MatrixCocycle(("o",), lambda q: q, lambda q: M, M.shape[0], h)
 
 
 def test_evp_non_normal_triangular():
@@ -278,11 +261,27 @@ def test_lyapunov_dimension_closed_form():
     coc = constant_cocycle(np.diag([1.0, -2.0]))
     res = cy.lyapunov_dimension(coc, T=8.0)
     assert not res.saturated
-    assert res.value == pytest.approx(1.5, abs=1e-5)
+    assert res.value == pytest.approx(1.5, abs=1e-12)
     # agrees with Kaplan-Yorke on the exponents and obeys the sandwich
     rep = cy.uniform_exponents(coc, 2, T=8.0)
     ky = cy.kaplan_yorke(rep.lambdas, 2)
-    assert ky - 1.0 < res.value <= ky + 1e-5
+    assert ky - 1.0 < res.value <= ky + 1e-12
+
+
+def test_lyapunov_dimension_is_kaplan_yorke_on_one_base_point():
+    # with one base point the sup over the base is that point's own volume
+    # growth, so the down-crossing is the Kaplan-Yorke formula itself
+    r = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(r.integers(2, 6))
+        coc = diag_equilibria({"o": r.normal(size=n) - 0.3}, h=0.5)
+        want = cy.kaplan_yorke(cy.uniform_exponents(coc, n, T=4.0).lambdas, n)
+        assert cy.lyapunov_dimension(coc, T=4.0).value == pytest.approx(want, abs=1e-12)
+    for _ in range(5):
+        A = 0.5 * r.normal(size=(3, 3)) - 0.4 * np.eye(3)
+        coc = constant_cocycle(A)
+        want = cy.kaplan_yorke(cy.uniform_exponents(coc, 3, T=4.0).lambdas, 3)
+        assert cy.lyapunov_dimension(coc, T=4.0).value == pytest.approx(want, abs=1e-12)
 
 
 def test_lyapunov_dimension_saturation_and_zero():
@@ -300,7 +299,7 @@ def test_lyapunov_dimension_two_point_base():
     # interpolated sup rates on [1,2]: max(1 - 2g, 0.9 - g); the second branch
     # keeps the max nonnegative until g = 0.9
     res = cy.lyapunov_dimension(coc, T=8.0)
-    assert res.value == pytest.approx(1.9, abs=1e-5)
+    assert res.value == pytest.approx(1.9, abs=1e-12)
     assert not res.saturated
     # a base point whose full trace is positive saturates the estimate
     sat = cy.lyapunov_dimension(
@@ -341,6 +340,16 @@ def test_lyapunov_metric_p1_and_validation():
         cy.lyapunov_metric(coc, 0.0, 3.0, p=0.5, q="o", xi=np.array([1.0]))
     with pytest.raises(InputError):
         cy.lyapunov_metric(coc, 0.0, 3.0, p=2.0, q="o", xi=np.array([0.0]))
+
+
+def test_lyapunov_metric_annihilated_vector():
+    # xi dies in one step: growth -inf < nu, so no warning; the norms are
+    # (1, 0, 0, 0, 0), so n_q^2 = Simpson = 1/3 and alpha = nu - 1/(2/3)
+    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q: np.diag([1.0, 0.0]), 2, 1.0)
+    res = cy.lyapunov_metric(coc, 0.0, 4.0, p=2.0, q="o", xi=np.array([0.0, 1.0]))
+    assert res.value == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
+    assert res.alpha == pytest.approx(-1.5, rel=1e-14)
+    assert res.warned is False
 
 
 # ---------------------------------------------------- liouville_check

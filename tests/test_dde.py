@@ -320,7 +320,7 @@ def test_equilibrium_volume_rates_converge_to_char_roots(model, xbar, a, b):
     for N in (32, 64, 128):
         traj = dde.integrate(model, dde.HistorySegment.constant(xbar, tau), tau, tau / N)
         M = dde.linearized_monodromy(model, traj, 0.0, N)
-        coc = cocycle.MatrixCocycle(("plus",), lambda q: q, lambda q, t: M, M.shape[0], tau)
+        coc = cocycle.MatrixCocycle(("plus",), lambda q: q, lambda q: M, M.shape[0], tau)
         sums = np.array([cocycle.evp_finite_base(coc, m).max_rate for m in range(1, 21)])
         errs.append(np.abs(sums[:16] - want).max())
         ky_errs.append(abs(cocycle.kaplan_yorke(np.diff(sums, prepend=0.0), 20) - local_dim))
@@ -415,6 +415,22 @@ def test_spectrum_ky_is_the_cocycle_formula():
     # the order-1 pass is the leading column of the order-3 pass
     assert top.lambdas[0] == pytest.approx(rep.lambdas[0], abs=1e-13)
     assert top.lambdas_half[0] == pytest.approx(rep.lambdas_half[0], abs=1e-13)
+
+
+def test_spectrum_builds_each_window_once(monkeypatch):
+    # _seed_frame and the QR pass read the same windows: one monodromy each
+    calls = []
+    build = dde.linearized_monodromy
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dde, "linearized_monodromy", counted)
+    model = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
+    rep = dde.numerical_lyapunov_spectrum(model, 22.0, 440.0, m=3, N=16, seed=0)
+    assert rep.windows == 20
+    assert len(calls) == rep.windows == len(set(calls))
 
 
 def test_spectrum_validation():
