@@ -5,6 +5,15 @@ size divides the delay, so derivative breakpoints always sit on grid nodes
 and every lookup interval is one-sided), model definitions, invariant-ball
 checks, linearized monodromy matrices on a uniform history grid, and
 numerical Lyapunov spectra via windowed QR accumulation.
+
+A model splits its right side in two: delayed(xd), the part that reads only
+the delayed state, and rhs(t, x, d), which combines the current state with
+d = delayed(xd).  Within one delay interval every delayed argument (the
+nodes, the Hermite midpoints and their derivatives) lies in the interval
+before it, so the integrator evaluates delayed once per interval, in one
+numpy call, and runs only the state recurrence step by step: on floats for
+one scalar equation, on (B, n) arrays for a batch, with the same
+arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -38,15 +47,22 @@ __all__ = [
 
 @dataclass
 class DelayModel:
-    """Single-delay system x'(t) = rhs(t, x(t), x(t - tau)).
+    """Single-delay system x'(t) = rhs(t, x(t), delayed(x(t - tau))).
 
-    jac(t, x, xd) returns the pair of Jacobians (d rhs/d x, d rhs/d xd),
-    each of shape (..., n, n).  rhs and jac must accept batched states of
-    shape (..., n), and jac receives t batched like them, with shape (...).
+    delayed(xd) maps delayed states of shape (..., n) elementwise over the
+    leading axes to an array of the same shape; the integrator calls it on
+    a whole delay interval of nodes and midpoints at once.  rhs(t, x, d)
+    gets a float t, and x and d either as floats (one scalar equation,
+    integrated alone) or as arrays of shape (B, n), so it must use only
+    arithmetic that both support.  jac(t, x, xd) returns the pair of
+    Jacobians (d f/d x, d f/d xd) of f = rhs(t, x, delayed(xd)), each of
+    shape (..., n, n); it takes states of shape (..., n) and t batched like
+    them, with shape (...).
     """
 
     n: int
     tau: float
+    delayed: Callable
     rhs: Callable
     jac: Callable
 
@@ -75,17 +91,18 @@ def _mg_fprime(y, k: float):
 def mackey_glass(beta: float, gamma: float, k: float, tau: float) -> DelayModel:
     """x' = -gamma x + beta xd / (1 + |xd|^k)."""
 
-    def F(y):
-        return y / (1.0 + np.abs(y) ** k)
+    def delayed(xd):
+        # only ever called on arrays: numpy's ** rounds differently on scalars
+        return beta * (xd / (1.0 + np.abs(xd) ** k))
 
-    def rhs(t, x, xd):
-        return -gamma * x + beta * F(xd)
+    def rhs(t, x, d):
+        return -gamma * x + d
 
     def jac(t, x, xd):
         one = np.ones_like(np.asarray(x, dtype=float))
         return -gamma * one[..., None], (beta * _mg_fprime(xd, k))[..., None]
 
-    return DelayModel(1, tau, rhs, jac)
+    return DelayModel(1, tau, delayed, rhs, jac)
 
 
 def mackey_glass_equilibria(beta: float, gamma: float, k: float) -> tuple[float, ...]:
@@ -99,14 +116,17 @@ def mackey_glass_equilibria(beta: float, gamma: float, k: float) -> tuple[float,
 def suarez_schopf(alpha: float, tau: float, forcing: float = 0.0, gamma: float = 1.0) -> DelayModel:
     """x' = gamma x - alpha xd - x^3 + forcing * sin t."""
 
-    def rhs(t, x, xd):
-        return gamma * x - alpha * xd - x**3 + forcing * np.sin(t)
+    def delayed(xd):
+        return -alpha * xd
+
+    def rhs(t, x, d):
+        return gamma * x + d - x**3 + forcing * math.sin(t)
 
     def jac(t, x, xd):
         x = np.asarray(x, dtype=float)
         return (gamma - 3.0 * x**2)[..., None], np.full_like(x, -alpha)[..., None]
 
-    return DelayModel(1, tau, rhs, jac)
+    return DelayModel(1, tau, delayed, rhs, jac)
 
 
 def suarez_schopf_equilibria(alpha: float, gamma: float = 1.0) -> tuple[float, ...]:
@@ -121,14 +141,17 @@ def suarez_schopf_equilibria(alpha: float, gamma: float = 1.0) -> tuple[float, .
 def linear_scalar(a: float, b: float, tau: float) -> DelayModel:
     """x' = a x + b xd; characteristic roots p = a + b e^{-tau p}."""
 
-    def rhs(t, x, xd):
-        return a * x + b * xd
+    def delayed(xd):
+        return b * xd
+
+    def rhs(t, x, d):
+        return a * x + d
 
     def jac(t, x, xd):
         x = np.asarray(x, dtype=float)
         return np.full_like(x, a)[..., None], np.full_like(x, b)[..., None]
 
-    return DelayModel(1, tau, rhs, jac)
+    return DelayModel(1, tau, delayed, rhs, jac)
 
 
 def _hermite(u, v0, d0, v1, d1, h):
@@ -285,7 +308,14 @@ def _check_dt(tau: float, dt: float) -> int:
 
 
 def _integrate_batch(model: DelayModel, vals0, ders0, steps: int, dt: float):
-    """Core stepping loop on batched node arrays of shape (K, B, n)."""
+    """Core stepping loop on batched node arrays of shape (K, B, n).
+
+    Runs one delay interval of m steps at a time: model.delayed once on the
+    interval's delayed nodes and once on its Hermite midpoints, then the RK4
+    state recurrence step by step, on floats when B n = 1 and on (B, n)
+    arrays otherwise.  Nonfinite states are looked for once per interval
+    and reported at the first nonfinite node.
+    """
     m = vals0.shape[0] - 1
     B, n = vals0.shape[1], vals0.shape[2]
     K = m + steps + 1
@@ -294,25 +324,50 @@ def _integrate_batch(model: DelayModel, vals0, ders0, steps: int, dt: float):
     vals[: m + 1] = vals0
     ders[: m + 1] = ders0
     hist_end = ders0[m].copy()
-
-    def mid(idx):
-        d1 = hist_end if idx + 1 == m else ders[idx + 1]
-        return 0.5 * (vals[idx] + vals[idx + 1]) + 0.125 * dt * (ders[idx] - d1)
-
-    for i in range(steps):
-        node = m + i
-        t = i * dt
-        v = vals[node]
-        k1 = model.rhs(t, v, vals[node - m])
-        ders[node] = k1
-        xmid = mid(node - m)
-        k2 = model.rhs(t + 0.5 * dt, v + 0.5 * dt * k1, xmid)
-        k3 = model.rhs(t + 0.5 * dt, v + 0.5 * dt * k2, xmid)
-        k4 = model.rhs(t + dt, v + dt * k3, vals[node - m + 1])
-        vals[node + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(vals[node + 1])):
+    rhs, delayed = model.rhs, model.delayed
+    # a scalar equation steps on Python floats, which cost a fraction of a
+    # numpy call and round the same for + and *
+    rows = (lambda a: a.reshape(-1).tolist()) if B * n == 1 else list
+    half, sixth = 0.5 * dt, dt / 6.0
+    v = rows(vals[m : m + 1])[0]
+    for i0 in range(0, steps, m):
+        c = min(m, steps - i0)
+        dn = rows(delayed(vals[i0 : i0 + c + 1]))
+        xs, ks = [], []
+        try:
+            if i0 and c == m:
+                # the last midpoint ends on this interval's first derivative;
+                # in the first interval that slot still holds hist_end
+                ders[m + i0] = rhs(i0 * dt, v, dn[0])
+            lo, hi = slice(i0, i0 + c), slice(i0 + 1, i0 + c + 1)
+            dm = rows(delayed(0.5 * (vals[lo] + vals[hi]) + 0.125 * dt * (ders[lo] - ders[hi])))
+            for s in range(c):
+                t = (i0 + s) * dt
+                k1 = rhs(t, v, dn[s])
+                k2 = rhs(t + half, v + half * k1, dm[s])
+                k3 = rhs(t + half, v + half * k2, dm[s])
+                k4 = rhs(t + dt, v + dt * k3, dn[s + 1])
+                v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                ks.append(k1)
+                xs.append(v)
+        except OverflowError:
+            # a float ** past the double range, where numpy returns inf: the
+            # node this step would reach is the nonfinite one
+            xs.append(math.nan)
+        block = np.array(xs).reshape(-1, B, n)
+        finite = np.isfinite(block).all(axis=(1, 2))
+        if not finite.all():
+            t = (i0 + int(np.argmin(finite))) * dt
             raise NumericalFailure(f"nonfinite state at t = {t + dt:.6g}", t=t + dt)
-    ders[K - 1] = model.rhs(steps * dt, vals[K - 1], vals[K - 1 - m])
+        vals[m + i0 + 1 : m + i0 + c + 1] = block
+        ders[m + i0 : m + i0 + c] = np.array(ks).reshape(c, B, n)
+    try:
+        ders[K - 1] = rhs(steps * dt, v, dn[c])
+    except OverflowError:
+        ders[K - 1] = math.nan
+    if not np.isfinite(ders[K - 1]).all():
+        # a finite last state can still have a nonfinite derivative
+        raise NumericalFailure(f"nonfinite derivative at t = {steps * dt:.6g}", t=steps * dt)
     return vals, ders, hist_end
 
 

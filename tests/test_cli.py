@@ -528,6 +528,30 @@ def test_console_script_installed():
     assert res.stdout.startswith("# lyapdim v1")
 
 
+_QUIET_PROBE = """
+import contextlib, io, json, sys
+from lyapdim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]), file=sys.__stdout__)
+"""
+
+
+def test_simulate_lyap_and_verify_write_nothing_to_stderr():
+    # numpy prints RuntimeWarnings (overflow, invalid value) to stderr once
+    # per location, so one interpreter running all three calls sees each
+    mg = ["--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10", "--tau", "22"]
+    calls = [
+        ["simulate", *mg, "--T", "440", "--history", "const:0.5"],
+        ["lyap", *mg, "--burn-in", "220", "--horizon", "440", "--seed", "7"],
+        ["verify", "--suite", "all"],
+    ]
+    res = subprocess.run(
+        [sys.executable, "-c", _QUIET_PROBE, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert res.returncode == 0 and json.loads(res.stdout) == [0, 0, 0]
+    assert res.stderr == ""
+
+
 _MG = ["--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10"]
 _SCIPY_PROBE = """
 import contextlib, io, json, sys

@@ -49,8 +49,9 @@ def jacobian_consistency(model: dde.DelayModel, samples: int = 20, seed: int = 0
         for j in range(model.n):
             e = np.zeros(model.n)
             e[j] = eps
-            col0 = (model.rhs(t, x + e, xd) - model.rhs(t, x - e, xd)) / (2 * eps)
-            cold = (model.rhs(t, x, xd + e) - model.rhs(t, x, xd - e)) / (2 * eps)
+            d = model.delayed(xd)
+            col0 = (model.rhs(t, x + e, d) - model.rhs(t, x - e, d)) / (2 * eps)
+            cold = (model.rhs(t, x, model.delayed(xd + e)) - model.rhs(t, x, model.delayed(xd - e))) / (2 * eps)
             scale = max(1.0, float(np.abs(J0).max()), float(np.abs(Jd).max()))
             worst = max(
                 worst,
@@ -95,6 +96,108 @@ def test_history_segment_construction_and_eval():
 
 
 # ------------------------------------------------------------ integrate
+
+
+def reference_integrate_batch(model, vals0, ders0, steps, dt):
+    """The stepping loop with every stage on (B, n) arrays and the delayed
+    term taken at each stage, the reference dde._integrate_batch must match."""
+    m = vals0.shape[0] - 1
+    B, n = vals0.shape[1], vals0.shape[2]
+    K = m + steps + 1
+    vals = np.empty((K, B, n))
+    ders = np.empty((K, B, n))
+    vals[: m + 1] = vals0
+    ders[: m + 1] = ders0
+    hist_end = ders0[m].copy()
+
+    def f(t, x, xd):
+        return model.rhs(t, x, model.delayed(xd))
+
+    def mid(idx):
+        d1 = hist_end if idx + 1 == m else ders[idx + 1]
+        return 0.5 * (vals[idx] + vals[idx + 1]) + 0.125 * dt * (ders[idx] - d1)
+
+    for i in range(steps):
+        node = m + i
+        t = i * dt
+        v = vals[node]
+        k1 = f(t, v, vals[node - m])
+        ders[node] = k1
+        xmid = mid(node - m)
+        k2 = f(t + 0.5 * dt, v + 0.5 * dt * k1, xmid)
+        k3 = f(t + 0.5 * dt, v + 0.5 * dt * k2, xmid)
+        k4 = f(t + dt, v + dt * k3, vals[node - m + 1])
+        vals[node + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(vals[node + 1])):
+            raise NumericalFailure(f"nonfinite state at t = {t + dt:.6g}", t=t + dt)
+    ders[K - 1] = f(steps * dt, vals[K - 1], vals[K - 1 - m])
+    return vals, ders, hist_end
+
+
+def reference_integrate(model, h0, T, dt):
+    m = round(model.tau / dt)
+    h = h0.resampled(m)
+    vals, ders, hist_end = reference_integrate_batch(
+        model, h.values[:, None, :], h.derivs[:, None, :], round(T / dt), dt
+    )
+    return vals[:, 0], ders[:, 0], hist_end[0]
+
+
+def trig_history(tau, seed, offset=0.0, scale=1.0):
+    coef = np.random.default_rng(seed).normal(size=(1, 4, 2))
+    theta = np.linspace(-tau, 0.0, 129)
+    vals = offset + scale * dde._trig_eval(coef, theta, tau)
+    return dde.HistorySegment(tau, vals, scale * dde._trig_eval(coef, theta, tau, deriv=True))
+
+
+@pytest.mark.parametrize(
+    "model, h0, T, dt",
+    [
+        (dde.mackey_glass(0.2, 0.1, 10.0, 22.0), dde.HistorySegment.constant(0.5, 22.0), 726.0, 22.0 / 128),
+        (dde.mackey_glass(0.2, 0.1, 10.0, 22.0), trig_history(22.0, 3, 0.6, 0.3), 726.0, 22.0 / 128),
+        # exactly the interval that ends on the history breakpoint
+        (dde.linear_scalar(0.3, -1.0, 1.0), trig_history(1.0, 5), 1.0, 1.0 / 32),
+        # inside it, and a partial last interval after two full ones
+        (dde.linear_scalar(0.3, -1.0, 1.0), trig_history(1.0, 5), 0.5, 1.0 / 32),
+        (dde.linear_scalar(0.3, -1.0, 1.0), trig_history(1.0, 5), 2.0 + 5.0 / 32, 1.0 / 32),
+    ],
+    ids=["mackey_glass-constant", "mackey_glass-random", "linear-breakpoint", "linear-first-partial",
+         "linear-last-partial"],
+)
+def test_integrate_equals_the_reference_loop_bit_for_bit(model, h0, T, dt):
+    traj = dde.integrate(model, h0, T, dt)
+    vals, ders, hist_end = reference_integrate(model, h0, T, dt)
+    assert np.array_equal(traj.values, vals)
+    assert np.array_equal(traj.derivs, ders)
+    assert np.array_equal(traj.hist_end_deriv, hist_end)
+
+
+def test_integrate_suarez_schopf_forced_near_the_reference_loop():
+    # floats round x**3 differently from numpy arrays, so the last bits may move
+    model = dde.suarez_schopf(0.75, 1.596, forcing=0.2)
+    h0 = trig_history(1.596, 7, 0.1, 0.3)
+    T, dt = 50 * 1.596, 1.596 / 128
+    traj = dde.integrate(model, h0, T, dt)
+    for got, want in zip((traj.values, traj.derivs, traj.hist_end_deriv), reference_integrate(model, h0, T, dt)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_invariant_ball_batch_equals_the_reference_loop(monkeypatch):
+    runs = []
+    batch = dde._integrate_batch
+
+    def recorded(*args):
+        out = batch(*args)
+        runs.append((args, out))
+        return out
+
+    monkeypatch.setattr(dde, "_integrate_batch", recorded)
+    mg = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
+    rep = dde.invariant_ball_check(mg, 2.0 * 9.0**0.9 / 10.0, 100, 5 * 22.0, seed=0)
+    ((args, out),) = runs
+    assert rep.passed and args[1].shape == (65, 100, 1)
+    for got, want in zip(out, reference_integrate_batch(*args)):
+        assert np.array_equal(got, want)
 
 
 def test_integrate_pure_decay():
@@ -258,6 +361,31 @@ def test_invariant_ball_blowup_time_is_the_failing_step():
             dde.integrate(model, hist, steps * dt, dt)
     assert not rep.passed and rep.max_norm == math.inf
     assert rep.witness_time == exc.value.t == steps * dt
+
+
+def test_invariant_ball_blowup_on_floats_is_the_failing_step():
+    # a scalar equation steps on floats, where x**3 past the double range
+    # raises OverflowError instead of giving inf
+    model = dde.suarez_schopf(0.75, 2.0)
+    hist = dde.HistorySegment.constant(20.0, 2.0)
+    dt = 2.0 / 16
+    rep = dde.invariant_ball_check(model, 100.0, 0, 20.0, dt=dt, histories=[hist])
+    steps = round(rep.witness_time / dt)
+    assert np.isfinite(dde.integrate(model, hist, (steps - 1) * dt, dt).values).all()
+    with pytest.raises(NumericalFailure) as exc:
+        dde.integrate(model, hist, steps * dt, dt)
+    assert not rep.passed and rep.max_norm == math.inf
+    assert rep.witness_time == exc.value.t == steps * dt
+
+
+def test_nonfinite_end_derivative_fails_loudly():
+    # the state at t = 1/8 is finite (4.6e103), its cube is not
+    model = dde.suarez_schopf(0.75, 1.0)
+    hist = dde.HistorySegment.constant(6.893601091731659, 1.0)
+    assert np.isfinite(dde.integrate(model, hist, 1.0 / 16, 1.0 / 16).derivs).all()
+    with pytest.raises(NumericalFailure) as exc:
+        dde.integrate(model, hist, 2.0 / 16, 1.0 / 16)
+    assert exc.value.t == 2.0 / 16
 
 
 def test_invariant_ball_explicit_histories():
