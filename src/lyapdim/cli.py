@@ -45,46 +45,28 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(text)
+_ON_OFF = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _config_value(key: str, action: argparse.Action, text: str):
+    """A config-file value cast as its flag's would be: by the flag's type
+    and choices, or as an on/off word for a flag that takes no value."""
+    if action.nargs == 0:
+        if text.lower() not in _ON_OFF:
+            raise InputError(f"{key} must be on or off, got {text!r}")
+        return _ON_OFF[text.lower()]
+    try:
+        value = text if action.type is None else action.type(text)
+    except ValueError:
+        try:  # a fractional integer setting shows as the number it is
+            shown = float(text)
         except ValueError:
-            pass
-    return text
-
-
-def _merge(args: argparse.Namespace, keys: dict) -> dict:
-    """Resolve each key as flag value > config file value > default."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, default in keys.items():
-        val = getattr(args, key, None)
-        if val is None and key in cfg:
-            val = _coerce(cfg[key])
-        out[key] = default if val is None else val
-    return out
-
-
-def _convert(opts: dict, **casts):
-    """Cast each named setting in place, None staying None, so that a
-    malformed config-file value is an input error rather than a traceback
-    (and a fractional integer is not truncated)."""
-    for key, cast in casts.items():
-        if opts[key] is not None:
-            try:
-                value = cast(opts[key])
-            except (TypeError, ValueError, OverflowError):
-                value = None
-            if value is None or (cast is int and value != opts[key]):
-                what = "an integer" if cast is int else "a number"
-                raise InputError(f"{key} must be {what}, got {opts[key]!r}")
-            opts[key] = value
+            shown = text
+        raise InputError(f"{key} must be {_KINDS[action.type]}, got {shown!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"{key} must be one of {', '.join(action.choices)}, got {text!r}")
+    return value
 
 
 def _require(opts: dict, *names: str):
@@ -99,8 +81,6 @@ def _require(opts: dict, *names: str):
 
 class _Writer:
     def __init__(self, path: str | None, fmt: str):
-        if fmt not in ("csv", "json"):
-            raise InputError(f"unknown format {fmt!r}")
         self.path = path
         self.fmt = fmt
         self.comments: list[str] = []
@@ -197,10 +177,6 @@ _MODELS = {
     ),
 }
 
-# the flags every model subcommand takes; each model reads its own params
-_MODEL_KEYS = dict.fromkeys(("model", "beta", "gamma", "k", "alpha", "forcing", "a", "b", "tau"))
-
-
 def _model(opts: dict, role: str) -> tuple[_Model, dict]:
     """The registry entry opts["model"] names, which must have the role, and
     its parameters resolved as flag > config file > registry default."""
@@ -213,11 +189,7 @@ def _model(opts: dict, role: str) -> tuple[_Model, dict]:
         raise InputError(f"{what} {name!r}; choose from {have}")
     p = {key: default if opts.get(key) is None else opts[key] for key, default in entry.params.items()}
     _require(p, *p)
-    try:
-        p = {key: v if isinstance(entry.params[key], str) else float(v) for key, v in p.items()}
-        p["tau"] = float(opts["tau"])
-    except ValueError as exc:
-        raise InputError(f"model parameters must be numbers: {exc}") from None
+    p["tau"] = opts["tau"]
     return entry, p
 
 
@@ -225,9 +197,8 @@ def _model(opts: dict, role: str) -> tuple[_Model, dict]:
 
 
 def cmd_bound(args) -> int:
-    opts = _merge(args, dict(_MODEL_KEYS, scaled=False, lambda_mode=None))
-    role = "scaled_bound" if opts["scaled"] else "bound"
-    entry, p = _model(opts, role)
+    role = "scaled_bound" if args.scaled else "bound"
+    entry, p = _model(vars(args), role)
     res = getattr(entry, role)(p)
     w = _Writer(args.output, args.format)
     if entry.reference and all(
@@ -240,7 +211,7 @@ def cmd_bound(args) -> int:
     w.table(
         ["model", "tau", "d_star", "p_star", "kappa_opt", "scale_opt", "lambda_mode", "slope_per_tau", "provenance"],
         [[
-            opts["model"],
+            args.model,
             tau,
             float(res.d_star),
             float(res.p_star),
@@ -266,8 +237,6 @@ def _equilibrium_problem(opts) -> charroots.CharProblem:
     Jacobian, at the equilibrium opts["equilibrium"]."""
     entry, p = _model(opts, "equilibria")
     eq = opts["equilibrium"]
-    if eq not in _EQUILIBRIA:
-        raise InputError(f"unknown equilibrium {eq!r}")
     states, i = entry.equilibria(p), _EQUILIBRIA.index(eq)
     if i >= len(states):
         raise InputError(f"{opts['model']} has no {eq!r} equilibrium at these parameters")
@@ -277,18 +246,14 @@ def _equilibrium_problem(opts) -> charroots.CharProblem:
 
 
 def cmd_roots(args) -> int:
-    opts = _merge(args, dict(_MODEL_KEYS, equilibrium="plus", count=None))
-    _convert(opts, count=int)
-    _require(opts, "tau")
-    if opts["model"]:
-        prob = _equilibrium_problem(opts)
+    if args.model:
+        prob = _equilibrium_problem(vars(args))
     else:
-        _require(opts, "a", "b")
-        prob = charroots.CharProblem(float(opts["a"]), float(opts["b"]), float(opts["tau"]))
+        _require(vars(args), "a", "b", "tau")
+        prob = charroots.CharProblem(args.a, args.b, args.tau)
     w = _Writer(args.output, args.format)
-    count = opts["count"]
-    if count is not None:
-        rs = charroots.char_roots(prob, count)
+    if args.count is not None:
+        rs = charroots.char_roots(prob, args.count)
     else:
         rs = charroots.determined_roots(prob, "unstable_count", "local_dimension")
     w.comment(f"a {prob.a!r} b {prob.b!r} tau {prob.tau!r}")
@@ -326,7 +291,11 @@ def _build_model(opts) -> dde.DelayModel:
 
 def _build_history(spec: str, model: dde.DelayModel, seed: int) -> dde.HistorySegment:
     if spec.startswith("const:"):
-        return dde.HistorySegment.constant(float(spec.split(":", 1)[1]), model.tau)
+        try:
+            value = float(spec[len("const:"):])
+        except ValueError:
+            raise InputError(f"history const:VALUE needs a number, got {spec!r}") from None
+        return dde.HistorySegment.constant(value, model.tau)
     if spec == "random":
         rng = np.random.default_rng(seed)
         coef = rng.normal(size=(model.n, 4, 2))
@@ -338,13 +307,12 @@ def _build_history(spec: str, model: dde.DelayModel, seed: int) -> dde.HistorySe
 
 
 def cmd_simulate(args) -> int:
-    opts = _merge(args, dict(_MODEL_KEYS, T=None, dt=None, history="const:0.5"))
-    _convert(opts, T=float, dt=float)
+    opts = vars(args)
     _require(opts, "model", "tau", "T")
     model = _build_model(opts)
-    dt = opts["dt"] if opts["dt"] is not None else model.tau / 128.0
-    h0 = _build_history(str(opts["history"]), model, args.seed)
-    traj = dde.integrate(model, h0, opts["T"], dt)
+    dt = args.dt if args.dt is not None else model.tau / 128.0
+    h0 = _build_history(args.history, model, args.seed)
+    traj = dde.integrate(model, h0, args.T, dt)
     w = _Writer(args.output, args.format)
     m = round(model.tau / dt)
     w.table(
@@ -362,14 +330,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lyap(args) -> int:
-    opts = _merge(args, dict(_MODEL_KEYS, m=6, N=64, burn_in=None, horizon=None, dt=None))
-    _convert(opts, m=int, N=int, burn_in=float, horizon=float, dt=float)
-    model = _build_model(opts)
+    model = _build_model(vars(args))
     tau = model.tau
-    burn_in = opts["burn_in"] if opts["burn_in"] is not None else 50.0 * tau
-    horizon = opts["horizon"] if opts["horizon"] is not None else 100.0 * tau
+    burn_in = args.burn_in if args.burn_in is not None else 50.0 * tau
+    horizon = args.horizon if args.horizon is not None else 100.0 * tau
     rep = dde.numerical_lyapunov_spectrum(
-        model, burn_in, horizon, opts["m"], N=opts["N"], dt=opts["dt"], seed=args.seed
+        model, burn_in, horizon, args.m, N=args.N, dt=args.dt, seed=args.seed
     )
     w = _Writer(args.output, args.format)
     w.comment(f"windows {rep.windows} horizon {float(rep.horizon)!r}")
@@ -671,11 +637,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    opts = _merge(args, dict(suite="all"))
-    names = list(_SUITES) if opts["suite"] == "all" else [opts["suite"]]
-    bad = [n for n in names if n not in _SUITES]
-    if bad:
-        raise InputError(f"unknown suite(s) {bad}; choose from {sorted(_SUITES)} or all")
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     lines = []
     for name in names:
@@ -697,12 +659,13 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise InputError("range must be start:stop:points:lin|log")
-    start, stop, pts, spacing = float(parts[0]), float(parts[1]), int(parts[2]), parts[3]
-    if pts < 2 or stop <= start:
-        raise InputError("range needs stop > start and points >= 2")
+    try:
+        start, stop, pts, spacing = text.split(":")
+        start, stop, pts = float(start), float(stop), int(pts)
+    except ValueError:
+        raise InputError(f"range must be start:stop:points:lin|log, got {text!r}") from None
+    if pts < 2 or not -math.inf < start < stop < math.inf:
+        raise InputError("range needs finite start < stop and points >= 2")
     if spacing == "log":
         if start <= 0:
             raise InputError("log spacing needs start > 0")
@@ -712,58 +675,48 @@ def _parse_range(text: str) -> np.ndarray:
     raise InputError(f"unknown spacing {spacing!r}")
 
 
-def _sweep_cell(payload):
-    kind, opts, tau, seed = payload
-    opts = dict(opts, tau=tau)
+# each sweep quantity and the columns of its table
+_SWEEP_COLUMNS = {"bound": ["tau", "d_star"], "local_dim": ["tau", "local_dim"],
+                  "unstable": ["tau", "n_unstable"], "lyap": ["tau", "lambda_1", "ky"]}
+
+
+def _sweep_cell(opts):
+    tau, kind = opts["tau"], opts["quantity"]
     if kind == "bound":
         entry, p = _model(opts, "bound")
         return [tau, float(entry.bound(p).d_star)]
-    if kind in ("local_dim", "unstable"):
-        prob = _equilibrium_problem(opts)
-        if kind == "local_dim":
-            rs = charroots.determined_roots(prob, "local_dimension")
-            return [tau, float(charroots.local_dimension(rs))]
-        rs = charroots.determined_roots(prob, "unstable_count")
-        return [tau, float(charroots.unstable_count(rs))]
     if kind == "lyap":
         model = _build_model(opts)
-        rep = dde.numerical_lyapunov_spectrum(
-            model, 50.0 * tau, 80.0 * tau, opts["m"] or 6, seed=seed
-        )
+        rep = dde.numerical_lyapunov_spectrum(model, 50.0 * tau, 80.0 * tau, opts["m"], seed=opts["seed"])
         return [tau, float(rep.lambdas[0]), float(rep.ky) if rep.ky is not None else ""]
-    raise InputError(f"unknown sweep quantity {kind!r}")
+    prob = _equilibrium_problem(opts)
+    if kind == "local_dim":
+        rs = charroots.determined_roots(prob, "local_dimension")
+        return [tau, float(charroots.local_dimension(rs))]
+    rs = charroots.determined_roots(prob, "unstable_count")
+    return [tau, float(charroots.unstable_count(rs))]
 
 
 def cmd_sweep(args) -> int:
-    opts = _merge(
-        args,
-        dict(_MODEL_KEYS, equilibrium="plus", quantity="bound", tau_range=None, lambda_mode=None,
-             m=None, jobs=1),
-    )
-    _convert(opts, m=int, jobs=int)
+    opts = vars(args)
     _require(opts, "model", "tau_range")
-    taus = _parse_range(str(opts["tau_range"]))
-    kind = opts["quantity"]
-    if kind not in ("bound", "local_dim", "unstable", "lyap"):
-        raise InputError(f"unknown quantity {kind!r}")
-    payloads = [(kind, {k: v for k, v in opts.items() if k != "tau_range"}, float(t), args.seed)
-                for t in taus]
-    jobs = opts["jobs"]
+    if args.jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {args.jobs}")
+    cells = [dict(opts, tau=float(t)) for t in _parse_range(args.tau_range)]
+    jobs = min(args.jobs, len(cells))
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(jobs) as pool:
-            rows = pool.map(_sweep_cell, payloads)
+            rows = pool.map(_sweep_cell, cells)
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        rows = [_sweep_cell(c) for c in cells]
     w = _Writer(args.output, args.format)
-    cols = {"bound": ["tau", "d_star"], "local_dim": ["tau", "local_dim"],
-            "unstable": ["tau", "n_unstable"], "lyap": ["tau", "lambda_1", "ky"]}[kind]
-    if kind in ("local_dim", "unstable"):
+    if args.quantity in ("local_dim", "unstable"):
         slope, intercept, _ = charroots._fit_line(np.array([r[0] for r in rows]),
                                                   np.array([r[1] for r in rows]))
         w.comment(f"slope {slope!r} intercept {intercept!r}")
-    w.table(cols, rows)
+    w.table(_SWEEP_COLUMNS[args.quantity], rows)
     w.flush()
     return 0
 
@@ -771,65 +724,85 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's name mapped to its parser and its
+    flags' actions by destination: every setting is declared once, in its
+    add_argument call, and config-file values are cast through it."""
     ap = argparse.ArgumentParser(
         prog="lyapdim",
         description="Upper bounds and numerical ground truth for Lyapunov "
         "dimensions of delay systems",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, help, model=True):
+        p = sub.add_parser(name, help=help)
+        actions = {}
+        commands[name] = (p, actions)
 
-    def model_flags(p):
-        common(p)
-        p.add_argument("--model")
-        for name in _MODEL_KEYS:
-            if name != "model":
-                p.add_argument(f"--{name}", type=float)
+        def flag(*names, **kw):
+            action = p.add_argument(*names, **kw)
+            actions[action.dest] = action
 
-    p = sub.add_parser("bound", help="analytic dimension bound")
-    model_flags(p)
-    p.add_argument("--scaled", action="store_const", const=True, default=None)
-    p.add_argument("--lambda-mode", dest="lambda_mode", choices=("rough", "tight"))
+        flag("--config", help="key=value config file; flags override")
+        flag("--output", help="output path (default stdout)")
+        flag("--format", default="csv", choices=("csv", "json"))
+        flag("--seed", type=int, default=0)
+        if model:
+            flag("--model")
+            for param in ("beta", "gamma", "k", "alpha", "forcing", "a", "b", "tau"):
+                flag(f"--{param}", type=float)
+        return flag
 
-    p = sub.add_parser("roots", help="characteristic root table")
-    model_flags(p)
-    p.add_argument("--equilibrium", choices=("plus", "minus", "zero"))
-    p.add_argument("--count", type=int)
+    flag = command("bound", "analytic dimension bound")
+    flag("--scaled", action="store_true")
+    flag("--lambda-mode", choices=("rough", "tight"))
 
-    p = sub.add_parser("simulate", help="integrate a model, emit trajectory CSV")
-    model_flags(p)
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--history")
+    flag = command("roots", "characteristic root table")
+    flag("--equilibrium", default="plus", choices=_EQUILIBRIA)
+    flag("--count", type=int)
 
-    p = sub.add_parser("lyap", help="numerical Lyapunov spectrum")
-    model_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--dt", type=float)
+    flag = command("simulate", "integrate a model, emit trajectory CSV")
+    flag("--T", type=float)
+    flag("--dt", type=float)
+    flag("--history", default="const:0.5")
 
-    p = sub.add_parser("verify", help="run module invariant suites")
-    common(p)
-    p.add_argument("--suite")
+    flag = command("lyap", "numerical Lyapunov spectrum")
+    flag("--m", type=int, default=6)
+    flag("--N", type=int, default=64)
+    flag("--burn-in", type=float)
+    flag("--horizon", type=float)
+    flag("--dt", type=float)
 
-    p = sub.add_parser("sweep", help="quantity over a tau grid")
-    model_flags(p)
-    p.add_argument("--equilibrium", choices=("plus", "minus", "zero"))
-    p.add_argument("--quantity")
-    p.add_argument("--tau-range", dest="tau_range")
-    p.add_argument("--lambda-mode", dest="lambda_mode", choices=("rough", "tight"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--jobs", type=int)
+    flag = command("verify", "run module invariant suites", model=False)
+    flag("--suite", default="all", choices=("all", *_SUITES))
 
-    return ap
+    flag = command("sweep", "quantity over a tau grid")
+    flag("--equilibrium", default="plus", choices=_EQUILIBRIA)
+    flag("--quantity", default="bound", choices=tuple(_SWEEP_COLUMNS))
+    flag("--tau-range")
+    flag("--lambda-mode", choices=("rough", "tight"))
+    flag("--m", type=int, default=6)
+    flag("--jobs", type=int, default=1)
+
+    return ap, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Settings as flag > config file > declared default: the config file's
+    values for its subcommand's flags, each cast as that flag's would be,
+    become the subcommand's defaults, and argv is parsed again over them.
+    Keys of other subcommands are ignored."""
+    ap, commands = build_parser()
+    args = ap.parse_args(argv)
+    if args.config:
+        p, actions = commands[args.command]
+        cfg = _read_config(args.config)
+        p.set_defaults(**{key: _config_value(key, actions[key], text)
+                          for key, text in cfg.items() if key in actions})
+        args = ap.parse_args(argv)
+    return args
 
 
 _DISPATCH = {
@@ -844,11 +817,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _parse_args(argv)
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # argparse's exit, after --help or a rejected flag
+        return int(exc.code) if exc.code else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -500,9 +500,7 @@ def linearized_monodromy(
     h = tau / N
     total = span * N
     W = np.zeros((total + N + 1, n, B))
-    for i in range(N + 1):
-        for c in range(n):
-            W[i, c, i * n + c] = 1.0
+    W[: N + 1] = np.eye(B).reshape(N + 1, n, B)
 
     s = t0 + np.arange(total) * h
     stages = np.stack([s, s + 0.5 * h, s + h])  # (3, total): RK4 stage times
@@ -522,10 +520,8 @@ def linearized_monodromy(
         k4 = A[2, i] @ (V + h * k3) + D[2, i] @ W[i + 1]
         W[N + i + 1] = V + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    out = np.empty((B, B))
-    for i in range(N + 1):
-        out[i * n : (i + 1) * n, :] = W[total + i]
-    return out
+    # a copy, not a view that would keep all of W alive with each window
+    return W[total:].reshape(B, B).copy()
 
 
 def numerical_lyapunov_spectrum(

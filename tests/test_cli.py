@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, config precedence, output formats,
 exit codes, determinism, worker pools."""
 
+import contextlib
 import itertools
 import json
 import math
+import multiprocessing
+import shlex
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -121,6 +126,32 @@ def test_config_precedence(tmp_path, capsys):
     assert "key=value" in err
     rc, _, _ = run_cli(["bound", "--config", str(tmp_path / "absent.cfg")], capsys)
     assert rc == 2
+    # the file can set any flag of its subcommand, where the output goes too
+    rc, out, _ = run_cli(["bound", "--config", str(cfg)], capsys)
+    to_file = tmp_path / "to_file.cfg"
+    to_file.write_text(cfg.read_text() + f"output = {tmp_path / 'out.csv'}\n")
+    assert run_cli(["bound", "--config", str(to_file)], capsys) == (0, "", "")
+    assert (tmp_path / "out.csv").read_text() == out
+
+
+_MG_TAU = ["--model", "mackey_glass", "--beta", "0.2", "--gamma", "0.1", "--k", "10", "--tau", "2"]
+
+
+@pytest.mark.parametrize(
+    "line, argv, flags",
+    [
+        ("format = json", ["bound", *_MG_TAU], ["--format", "json"]),
+        ("seed = 7", ["simulate", *_MG_TAU, "--T", "4", "--history", "random"], ["--seed", "7"]),
+        ("scaled = Yes", ["bound", *_MG_TAU], ["--scaled"]),
+    ],
+)
+def test_config_value_acts_as_its_flag(line, argv, flags, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    via_flags = run_cli(argv + flags, capsys)
+    assert via_flags[0] == 0
+    assert run_cli(argv + ["--config", str(cfg)], capsys) == via_flags
+    assert via_flags != run_cli(argv, capsys)
 
 
 _LINEAR = ["--model", "linear", "--a", "-1", "--b", "0.5", "--tau", "1"]
@@ -147,6 +178,32 @@ def test_malformed_config_value_exits_2(key, argv, tmp_path, capsys):
     assert rc == 2
     what = "a number" if key in ("T", "dt", "burn_in", "horizon") else "an integer"
     assert out == "" and err == f"error: {key} must be {what}, got 'abc'\n"
+
+
+_SWEEP_CUSTOM = ["sweep", "--model", "custom", "--a", "0.8", "--b", "0.164025"]
+
+
+@pytest.mark.parametrize(
+    "line, argv, message",
+    [
+        ("a = abc", ["roots", "--b", "-0.4", "--tau", "22"], "a must be a number, got 'abc'"),
+        ("scaled = maybe", ["bound", *_MG_TAU], "scaled must be on or off, got 'maybe'"),
+        ("quantity = entropy", [*_SWEEP_CUSTOM, "--tau-range", "1:2:3:lin"],
+         "quantity must be one of bound, local_dim, unstable, lyap, got 'entropy'"),
+        ("tau_range = 1:2:x:lin", _SWEEP_CUSTOM,
+         "range must be start:stop:points:lin|log, got '1:2:x:lin'"),
+        ("tau-range = 1:2:3.5:lin", _SWEEP_CUSTOM,
+         "range must be start:stop:points:lin|log, got '1:2:3.5:lin'"),
+        ("history = const:abc", ["simulate", *_LINEAR, "--T", "2"],
+         "history const:VALUE needs a number, got 'const:abc'"),
+        ("jobs = 0", [*_SWEEP_CUSTOM, "--tau-range", "1:2:3:lin"], "jobs must be at least 1, got 0"),
+    ],
+)
+def test_config_value_checked_as_its_flag_exits_2(line, argv, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_fractional_integer_setting_exits_2(tmp_path, capsys):
@@ -267,6 +324,8 @@ def test_simulate_history_specs(capsys):
         capsys,
     )
     assert rc == 2
+    rc, out, err = run_cli(["simulate", *_LINEAR, "--T", "1", "--history", "const:abc"], capsys)
+    assert (rc, out) == (2, "") and err.startswith("error: history const:VALUE needs a number")
 
 
 # ------------------------------------------------------------- lyap
@@ -422,6 +481,32 @@ def test_sweep_validation(capsys):
     assert rc == 2
     rc, _, _ = run_cli(base + ["--quantity", "entropy", "--tau-range", "10:100:5:log"], capsys)
     assert rc == 2
+    for bad in ("1:2:x:lin", "1:2:3.5:lin", "nan:2:3:lin", "1:inf:3:lin"):
+        rc, out, err = run_cli(base + ["--quantity", "bound", "--tau-range", bad], capsys)
+        assert (rc, out) == (2, "") and err.startswith("error: range"), bad
+    rc, out, err = run_cli(base + ["--quantity", "lyap", "--m", "0", "--tau-range", "10:12:2:lin"],
+                           capsys)
+    assert (rc, out) == (2, "") and err.startswith("error: need 1 <= m")
+
+
+def test_sweep_pool_never_outnumbers_its_cells(monkeypatch, capsys):
+    sizes = []
+
+    def pool(size):
+        sizes.append(size)
+        return contextlib.nullcontext(types.SimpleNamespace(map=lambda f, xs: list(map(f, xs))))
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=pool))
+    argv = [*_SWEEP_CUSTOM, "--tau-range", "1:2:3:lin"]
+    serial = run_cli(argv, capsys)
+    assert serial[0] == 0
+    assert run_cli(argv + ["--jobs", "8"], capsys) == serial
+    assert run_cli(argv + ["--jobs", "2"], capsys) == serial
+    assert sizes == [3, 2]
+    for jobs in ("0", "-3"):
+        rc, out, err = run_cli(argv + ["--jobs", jobs], capsys)
+        assert (rc, out, err) == (2, "", f"error: jobs must be at least 1, got {jobs}\n")
+    assert sizes == [3, 2]
 
 
 # ------------------------------------------------------------- model registry
@@ -501,6 +586,16 @@ def test_bad_subcommand_and_help(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "bound" in out and "sweep" in out
+
+
+def test_readme_cli_examples_exit_0(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("lyapdim ")]
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 0, line
 
 
 def test_jobs_is_a_sweep_flag(capsys):
