@@ -297,12 +297,8 @@ def _build_history(spec: str, model: dde.DelayModel, seed: int) -> dde.HistorySe
             raise InputError(f"history const:VALUE needs a number, got {spec!r}") from None
         return dde.HistorySegment.constant(value, model.tau)
     if spec == "random":
-        rng = np.random.default_rng(seed)
-        coef = rng.normal(size=(model.n, 4, 2))
-        theta = np.linspace(-model.tau, 0.0, 129)
-        vals = dde._trig_eval(coef, theta, model.tau)
-        ders = dde._trig_eval(coef, theta, model.tau, deriv=True)
-        return dde.HistorySegment(model.tau, 0.3 * vals, 0.3 * ders)
+        coef = np.random.default_rng(seed).normal(size=(model.n, 4, 2))
+        return dde._trig_history(coef, model.tau, scale=0.3)
     raise InputError(f"unknown history spec {spec!r} (use const:VALUE or random)")
 
 
@@ -310,15 +306,14 @@ def cmd_simulate(args) -> int:
     opts = vars(args)
     _require(opts, "model", "tau", "T")
     model = _build_model(opts)
-    dt = args.dt if args.dt is not None else model.tau / 128.0
-    h0 = _build_history(args.history, model, args.seed)
-    traj = dde.integrate(model, h0, args.T, dt)
+    dt = args.dt if args.dt is not None else model.tau / dde._STEPS_PER_TAU
+    traj = dde.integrate(model, _build_history(args.history, model, args.seed), args.T, dt)
     w = _Writer(args.output, args.format)
-    m = round(model.tau / dt)
+    m = round(model.tau / traj.dt)
     w.table(
         ["t"] + [f"x_{i+1}" for i in range(model.n)],
         [
-            [float(-model.tau + i * dt)] + [float(v) for v in traj.values[i]]
+            [float(-model.tau + i * traj.dt)] + [float(v) for v in traj.values[i]]
             for i in range(m, traj.values.shape[0])
         ],
     )
@@ -793,12 +788,16 @@ def _parse_args(argv) -> argparse.Namespace:
     """Settings as flag > config file > declared default: the config file's
     values for its subcommand's flags, each cast as that flag's would be,
     become the subcommand's defaults, and argv is parsed again over them.
-    Keys of other subcommands are ignored."""
+    Keys of other subcommands are ignored; a key of none is an error."""
     ap, commands = build_parser()
     args = ap.parse_args(argv)
     if args.config:
         p, actions = commands[args.command]
         cfg = _read_config(args.config)
+        known = {key for _, acts in commands.values() for key in acts}
+        unknown = [key for key in cfg if key not in known]
+        if unknown:
+            raise InputError(f"config key {unknown[0]!r} is not a setting of any subcommand")
         p.set_defaults(**{key: _config_value(key, actions[key], text)
                           for key, text in cfg.items() if key in actions})
         args = ap.parse_args(argv)

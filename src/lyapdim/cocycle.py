@@ -82,9 +82,11 @@ class EvpResult(NamedTuple):
 
 
 def _steps_of(T: float, h: float) -> int:
-    k = round(T / h)
+    """The number of steps h in T, which must be a whole number >= 1."""
+    q = T / h if h > 0.0 else math.nan
+    k = round(q) if math.isfinite(q) else 0
     if k < 1 or abs(k * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise InputError(f"step {h} does not divide T={T}")
+        raise InputError(f"T={T} is not a positive whole number of steps {h}")
     return k
 
 

@@ -4,7 +4,9 @@ Method-of-steps RK4 integration with cubic-Hermite dense output (the step
 size divides the delay, so derivative breakpoints always sit on grid nodes
 and every lookup interval is one-sided), model definitions, invariant-ball
 checks, linearized monodromy matrices on a uniform history grid, and
-numerical Lyapunov spectra via windowed QR accumulation.
+numerical Lyapunov spectra via windowed QR accumulation: each delay window's
+monodromy is built once, into a list that both the QR pass and its seed
+frame read.
 
 A model splits its right side in two: delayed(xd), the part that reads only
 the delayed state, and rhs(t, x, d), which combines the current state with
@@ -300,8 +302,16 @@ class Trajectory:
         return HistorySegment(self.model.tau, vals, ders)
 
 
+# the default RK4 step is tau / _STEPS_PER_TAU
+_STEPS_PER_TAU = 128
+
+
 def _check_dt(tau: float, dt: float) -> int:
-    m = round(tau / dt)
+    """The number of steps dt per delay tau, which must be a whole number >= 10."""
+    if not 0.0 < tau < math.inf:
+        raise InputError(f"tau must be finite and positive, got {tau}")
+    q = tau / dt if dt > 0.0 else math.nan
+    m = round(q) if math.isfinite(q) else 0
     if m < 10 or abs(m * dt - tau) > 1e-9 * tau:
         raise InputError(f"dt must divide tau with tau/dt >= 10, got tau={tau}, dt={dt}")
     return m
@@ -386,9 +396,7 @@ def integrate(
     multiples of tau coincide with nodes, so no step straddles one.
     """
     m = _check_dt(model.tau, dt)
-    steps = round(T / dt)
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise InputError(f"dt={dt} does not divide T={T}")
+    steps = cocycle._steps_of(T, dt)
     h = h0.resampled(m)
     vals0 = h.values[:, None, :]
     ders0 = h.derivs[:, None, :]
@@ -420,29 +428,22 @@ def invariant_ball_check(
         raise InputError("R must be positive")
     dt = model.tau / 64.0 if dt is None else dt
     m = _check_dt(model.tau, dt)
-    steps = round(T / dt)
-    rng = np.random.default_rng(seed)
+    steps = cocycle._steps_of(T, dt)
     if histories is None:
-        B = sample_count
-        theta = np.linspace(-model.tau, 0.0, m + 1)
+        rng = np.random.default_rng(seed)
         fine = np.linspace(-model.tau, 0.0, 8 * m + 1)
-        vals0 = np.empty((m + 1, B, model.n))
-        ders0 = np.empty((m + 1, B, model.n))
-        for s in range(B):
+        histories = []
+        for _ in range(sample_count):
             coef = rng.normal(size=(model.n, 4, 2))
             target = R * rng.uniform(0.3, 0.999)
-            v = _trig_eval(coef, theta, model.tau)
-            vf = _trig_eval(coef, fine, model.tau)
-            d = _trig_eval(coef, theta, model.tau, deriv=True)
-            sup = np.abs(vf).max()
+            sup = np.abs(_trig_eval(coef, fine, model.tau)).max()
             scale = target / sup if sup > 0 else 0.0
-            vals0[:, s, :] = scale * v
-            ders0[:, s, :] = scale * d
-    else:
-        B = len(histories)
-        segs = [h.resampled(m) for h in histories]
-        vals0 = np.stack([h.values for h in segs], axis=1)
-        ders0 = np.stack([h.derivs for h in segs], axis=1)
+            histories.append(_trig_history(coef, model.tau, m, scale=scale))
+    if not histories:
+        raise InputError(f"need sample_count >= 1 or histories, got sample_count={sample_count}")
+    segs = [h.resampled(m) for h in histories]
+    vals0 = np.stack([h.values for h in segs], axis=1)
+    ders0 = np.stack([h.derivs for h in segs], axis=1)
 
     try:
         vals, _, _ = _integrate_batch(model, vals0, ders0, steps, dt)
@@ -456,18 +457,27 @@ def invariant_ball_check(
     return BallReport(False, max_norm, int(samp), float(node * dt - model.tau))
 
 
+def _trig_history(
+    coef, tau: float, M: int = 128, offset: float = 0.0, scale: float = 1.0
+) -> HistorySegment:
+    """offset + scale * the three-harmonic trig polynomial of coef (n, 4, 2),
+    on M + 1 uniform nodes of [-tau, 0]: the random history of
+    numerical_lyapunov_spectrum, invariant_ball_check and the CLI."""
+    theta = np.linspace(-tau, 0.0, M + 1)
+    vals = offset + scale * _trig_eval(coef, theta, tau)
+    return HistorySegment(tau, vals, scale * _trig_eval(coef, theta, tau, deriv=True))
+
+
 def _trig_eval(coef, theta, tau, deriv=False):
     """Three-harmonic trig polynomial with constant term; coef (n, 4, 2)."""
-    out = np.zeros((theta.size, coef.shape[0]))
-    for c in range(coef.shape[0]):
-        out[:, c] = 0.0 if deriv else coef[c, 0, 0]
-        for k in range(1, 4):
-            w = k * math.pi / tau
-            a, b = coef[c, k, 0], coef[c, k, 1]
-            if deriv:
-                out[:, c] += -a * w * np.sin(w * theta) + b * w * np.cos(w * theta)
-            else:
-                out[:, c] += a * np.cos(w * theta) + b * np.sin(w * theta)
+    out = np.full((theta.size, coef.shape[0]), 0.0 if deriv else coef[:, 0, 0])
+    for k in range(1, 4):
+        w = k * math.pi / tau
+        a, b, wt = coef[:, k, 0], coef[:, k, 1], w * theta[:, None]
+        if deriv:
+            out += -a * w * np.sin(wt) + b * w * np.cos(wt)
+        else:
+            out += a * np.cos(wt) + b * np.sin(wt)
     return out
 
 
@@ -532,52 +542,35 @@ def numerical_lyapunov_spectrum(
     N: int = 64,
     dt: float | None = None,
     seed: int = 0,
-    h0: HistorySegment | None = None,
 ) -> SpectrumReport:
     """Exponents of the linearized flow along an attractor trajectory.
 
-    Integrates the model past burn_in, builds the tau-window monodromy
-    sequence on an (N+1)-node history grid, and feeds it as a matrix cocycle
-    to one order-m QR pass: exponent j is the mean of log|R_jj| over the full
-    horizon, with last-half means as the convergence diagnostic.  ky is
+    Integrates the model from a random history past burn_in, builds the
+    tau-window monodromy sequence on an (N+1)-node history grid once, as a
+    list, and feeds it as a matrix cocycle to one order-m QR pass, whose seed
+    frame reads the same list: exponent j is the mean of log|R_jj| over the
+    full horizon, with last-half means as the convergence diagnostic.  ky is
     cocycle.kaplan_yorke (the first negative partial sum) when a partial sum
     of the m computed exponents is negative, else None.
     """
     tau = model.tau
-    dt = tau / 128.0 if dt is None else dt
-    windows = max(4, round(horizon / tau))
-    warmup = 2
+    dt = tau / _STEPS_PER_TAU if dt is None else dt
+    _check_dt(tau, dt)
+    for name, value in (("burn_in", burn_in), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
     if not 1 <= m <= model.n * (N + 1):
         raise InputError(f"need 1 <= m <= {model.n * (N + 1)} (the discretized dimension), got {m}")
-    rng = np.random.default_rng(seed)
-    if h0 is None:
-        coef = rng.normal(size=(model.n, 4, 2))
-        theta = np.linspace(-tau, 0.0, 129)
-        vals = 0.1 + 0.05 * _trig_eval(coef, theta, tau)
-        ders = 0.05 * _trig_eval(coef, theta, tau, deriv=True)
-        h0 = HistorySegment(tau, vals, ders)
+    windows = max(4, round(horizon / tau))
     burn_windows = max(1, round(burn_in / tau))
-    T_total = (burn_windows + warmup + windows + 1) * tau
-    traj = integrate(model, h0, T_total, dt)
-
-    cache: dict = {}
-
-    def window(w):
-        if w not in cache:
-            cache[w] = linearized_monodromy(model, traj, (burn_windows + w) * tau, N)
-        return cache[w]
-
-    # one cocycle step is one window, built once: the pass starts at window
-    # `warmup` (windows 0 and 1 are integrated but never used), and
-    # _seed_frame reads the windows it then accumulates to align the frame
-    coc = cocycle.MatrixCocycle(
-        base_points=(0,),
-        base_step=lambda q: q + 1,
-        fiber=window,
-        dim=model.n * (N + 1),
-        h=tau,
-    )
-    log_r = cocycle.volume_growth_qr(coc, warmup, m, windows * tau).log_r
+    coef = np.random.default_rng(seed).normal(size=(model.n, 4, 2))
+    h0 = _trig_history(coef, tau, offset=0.1, scale=0.05)
+    # the trajectory runs two delays past burn-in before the first window
+    # and one past the last
+    traj = integrate(model, h0, (burn_windows + windows + 3) * tau, dt)
+    fibers = [linearized_monodromy(model, traj, (burn_windows + 2 + w) * tau, N) for w in range(windows)]
+    coc = cocycle.MatrixCocycle((0,), lambda q: q + 1, fibers.__getitem__, model.n * (N + 1), tau)
+    log_r = cocycle.volume_growth_qr(coc, 0, m, windows * tau).log_r
     half = windows // 2
     lam = log_r.sum(axis=0) / (windows * tau)
     lam_half = log_r[half:].sum(axis=0) / ((windows - half) * tau)

@@ -259,6 +259,11 @@ def _kernel_integral(spec: DelayOperatorSpec, v: DiscretizedElement) -> np.ndarr
     return out
 
 
+# relative tolerance, against the sup-scale, of the domain and adjoint
+# boundary conditions that apply_L and apply_L_star check
+_DOMAIN_TOL = 1e-8
+
+
 def _domain_residuals(spec: DelayOperatorSpec, v: DiscretizedElement) -> list[float]:
     res = [float(np.linalg.norm(v.value_at_zero() - v.head))]
     for j in range(1, v.grid.n_segments):
@@ -267,16 +272,16 @@ def _domain_residuals(spec: DelayOperatorSpec, v: DiscretizedElement) -> list[fl
     return res
 
 
-def apply_L(spec: DelayOperatorSpec, v: DiscretizedElement, tol: float = 1e-8) -> DiscretizedElement:
+def apply_L(spec: DelayOperatorSpec, v: DiscretizedElement) -> DiscretizedElement:
     """(x, phi) -> (L0 phi(0) + L_tau phi(-tau) + sum taps + kernel integrals, phi').
 
     v must sit in the discrete domain: continuous tail with tail(0) = head,
-    checked to tol * sup-scale.
+    checked to _DOMAIN_TOL * sup-scale.
     """
     if v.n != spec.n or v.grid.n_segments != len(spec.taps) + 1:
         raise InputError("element does not match the operator layout")
     scale = v.sup_scale()
-    bad = [r for r in _domain_residuals(spec, v) if r > tol * scale]
+    bad = [r for r in _domain_residuals(spec, v) if r > _DOMAIN_TOL * scale]
     if bad:
         raise InputError(f"element violates domain continuity, residuals {bad}")
     head = spec.L0 @ v.value_at_zero() + spec.L_tau @ v.value_at_minus_tau()
@@ -311,20 +316,19 @@ def apply_L_star(
     spec: DelayOperatorSpec,
     profile: WeightProfile,
     w: DiscretizedElement,
-    tol: float = 1e-8,
 ) -> DiscretizedElement:
     """Adjoint action (y, psi) -> (L0^T y + rho(0) psi(0),
     -psi' - (rho'/rho) psi + (sum M_i^T / rho) y).
 
     rho'/rho is kappa_j exactly on each open segment.  The adjoint boundary
-    conditions must hold to tol * sup-scale.
+    conditions must hold to _DOMAIN_TOL * sup-scale.
     """
     if w.n != spec.n or w.grid.n_segments != len(spec.taps) + 1:
         raise InputError("element does not match the operator layout")
     _check_profile(profile, w.grid)
     scale = w.sup_scale()
     res = adjoint_residuals(spec, profile, w)
-    if any(r > tol * scale for r in res):
+    if any(r > _DOMAIN_TOL * scale for r in res):
         raise InputError(f"adjoint boundary conditions violated, residuals {res}")
     head = spec.L0.T @ w.head + w.value_at_zero()  # rho(0) = 1
     tails = []

@@ -206,6 +206,17 @@ def test_config_value_checked_as_its_flag_exits_2(line, argv, message, tmp_path,
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_config_key_of_no_subcommand_exits_2(tmp_path, capsys):
+    # keys of other subcommands are ignored; a misspelt one is not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 5\n")
+    assert run_cli(["bound", *_MG_TAU, "--config", str(cfg)], capsys) == run_cli(["bound", *_MG_TAU], capsys)
+    cfg.write_text("sacled = true\n")
+    rc, out, err = run_cli(["bound", *_MG_TAU, "--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: config key 'sacled' is not a setting of any subcommand\n"
+
+
 def test_fractional_integer_setting_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 2.5\n")
@@ -534,9 +545,16 @@ _SS = ["--model", "suarez_schopf", "--alpha", "0.75"]
          "no delay model for model 'custom'"),
         (["roots", "--model", "linear", "--a", "-0.1", "--b", "-0.4", "--tau", "22"],
          "no equilibria for model 'linear'"),
+        # non-finite numbers, each named as given
+        (["lyap", *_MG_TAU, "--horizon", "nan"], "horizon must be finite"),
+        (["lyap", *_MG_TAU, "--burn-in", "inf"], "burn_in must be finite"),
+        (["lyap", *_MG_TAU, "--tau", "nan"], "error: tau must be finite"),
+        (["simulate", *_MG_TAU, "--T", "nan"], "T=nan"),
+        (["simulate", *_MG_TAU, "--T", "inf"], "T=inf"),
     ],
     ids=["sweep-gamma-0", "bound-gamma-0", "sweep-misspelt-model", "sweep-unknown-model",
-         "sweep-missing-params", "bound-custom-scaled", "simulate-custom", "roots-linear"],
+         "sweep-missing-params", "bound-custom-scaled", "simulate-custom", "roots-linear",
+         "lyap-horizon-nan", "lyap-burn-in-inf", "lyap-tau-nan", "simulate-T-nan", "simulate-T-inf"],
 )
 def test_model_input_outside_the_registry_fails_loudly(argv, message, capsys):
     rc, out, err = run_cli(argv, capsys)

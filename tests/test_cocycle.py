@@ -142,6 +142,14 @@ def test_qr_volume_validation():
         cy.volume_growth_qr(coc, "o", 1, 1.1)  # h = 0.25 does not divide T
 
 
+@pytest.mark.parametrize(
+    "T, h", [(math.nan, 0.25), (math.inf, 0.25), (-math.inf, 0.25), (0.0, 0.25), (-1.0, 0.25), (1.0, 0.0)]
+)
+def test_qr_horizon_must_be_a_positive_whole_number_of_steps(T, h):
+    with pytest.raises(InputError):
+        cy.volume_growth_qr(constant_cocycle(np.eye(2), h), "o", 1, T)
+
+
 # ---------------------------------------------------- uniform exponents
 
 

@@ -143,11 +143,35 @@ def reference_integrate(model, h0, T, dt):
     return vals[:, 0], ders[:, 0], hist_end[0]
 
 
+def reference_trig_eval(coef, theta, tau, deriv=False):
+    """dde._trig_eval one component and one harmonic at a time."""
+    out = np.zeros((theta.size, coef.shape[0]))
+    for c in range(coef.shape[0]):
+        out[:, c] = 0.0 if deriv else coef[c, 0, 0]
+        for k in range(1, 4):
+            w = k * math.pi / tau
+            a, b = coef[c, k, 0], coef[c, k, 1]
+            if deriv:
+                out[:, c] += -a * w * np.sin(w * theta) + b * w * np.cos(w * theta)
+            else:
+                out[:, c] += a * np.cos(w * theta) + b * np.sin(w * theta)
+    return out
+
+
 def trig_history(tau, seed, offset=0.0, scale=1.0):
     coef = np.random.default_rng(seed).normal(size=(1, 4, 2))
     theta = np.linspace(-tau, 0.0, 129)
-    vals = offset + scale * dde._trig_eval(coef, theta, tau)
-    return dde.HistorySegment(tau, vals, scale * dde._trig_eval(coef, theta, tau, deriv=True))
+    vals = offset + scale * reference_trig_eval(coef, theta, tau)
+    return dde.HistorySegment(tau, vals, scale * reference_trig_eval(coef, theta, tau, deriv=True))
+
+
+@pytest.mark.parametrize("n, tau, M", [(1, 22.0, 128), (1, 1.596, 512), (3, 2.0, 64)])
+def test_trig_eval_equals_the_reference_loop_bit_for_bit(n, tau, M):
+    coef = np.random.default_rng(n).normal(size=(n, 4, 2))
+    theta = np.linspace(-tau, 0.0, M + 1)
+    for deriv in (False, True):
+        got = dde._trig_eval(coef, theta, tau, deriv=deriv)
+        assert np.array_equal(got, reference_trig_eval(coef, theta, tau, deriv=deriv))
 
 
 @pytest.mark.parametrize(
@@ -328,6 +352,36 @@ def test_array_lookups_equal_scalar_lookups_bit_for_bit():
             fn(np.array([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "offset, scale", [(0.1, 0.05), (0.0, 0.3), (0.0, None)], ids=["spectrum", "cli", "ball"]
+)
+def test_trig_history_is_the_reference_recipe(offset, scale):
+    tau, seed = 22.0, 3
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(1, 4, 2))
+    if scale is None:  # the ball's: a sup norm drawn from (0.3 R, 0.999 R), here R = 1
+        sup = np.abs(dde._trig_eval(coef, np.linspace(-tau, 0.0, 8 * 128 + 1), tau)).max()
+        scale = rng.uniform(0.3, 0.999) / sup
+    got = dde._trig_history(coef, tau, offset=offset, scale=scale)
+    want = trig_history(tau, seed, offset, scale)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.derivs, want.derivs)
+
+
+def test_nonfinite_and_nonpositive_steps_are_input_errors():
+    model = dde.linear_scalar(-1.0, 0.5, 1.0)
+    h0 = dde.HistorySegment.constant(1.0, 1.0)
+    for T, dt in ((math.nan, 1.0 / 16), (math.inf, 1.0 / 16), (1.0, math.nan), (1.0, 0.0), (1.0, 1e-320)):
+        with pytest.raises(InputError):
+            dde.integrate(model, h0, T, dt)
+    for tau in (math.nan, math.inf, 0.0):
+        with pytest.raises(InputError, match="^tau "):
+            dde.numerical_lyapunov_spectrum(dde.linear_scalar(-1.0, 0.5, tau), 5.0, 8.0, m=1, N=8)
+    for burn_in, horizon in ((math.inf, 8.0), (5.0, math.nan)):
+        with pytest.raises(InputError):
+            dde.numerical_lyapunov_spectrum(model, burn_in, horizon, m=1, N=8)
+
+
 # ------------------------------------------------------- invariant ball
 
 
@@ -396,6 +450,45 @@ def test_invariant_ball_explicit_histories():
     assert rep.passed
     with pytest.raises(InputError):
         dde.invariant_ball_check(mg, 0.0, sample_count=1, T=1.0)
+
+
+@pytest.mark.parametrize(
+    "T, sample_count",
+    [(0.3, 20), (0.0, 20), (-1.0, 20), (math.nan, 20), (20.0, 0)],
+    ids=["partial-step", "zero-T", "negative-T", "nan-T", "no-samples"],
+)
+def test_invariant_ball_rejects_bad_input(T, sample_count):
+    # T = 0.3 is not a whole number of steps 1/32: it would run 0.3125
+    mg = dde.mackey_glass(0.2, 0.1, 10.0, 2.0)
+    with pytest.raises(InputError):
+        dde.invariant_ball_check(mg, 2.0 * 9.0**0.9 / 10.0, sample_count, T, dt=1.0 / 32)
+
+
+def test_invariant_ball_random_path_is_its_explicit_path(monkeypatch):
+    runs = []
+    batch = dde._integrate_batch
+
+    def recorded(*args):
+        out = batch(*args)
+        runs.append((args, out))
+        return out
+
+    monkeypatch.setattr(dde, "_integrate_batch", recorded)
+    mg = dde.mackey_glass(0.2, 0.1, 10.0, 2.0)
+    R, tau, m = 2.0 * 9.0**0.9 / 10.0, 2.0, 64
+    rng = np.random.default_rng(5)
+    hists = []
+    for _ in range(6):
+        coef = rng.normal(size=(1, 4, 2))
+        target = R * rng.uniform(0.3, 0.999)
+        sup = np.abs(dde._trig_eval(coef, np.linspace(-tau, 0.0, 8 * m + 1), tau)).max()
+        hists.append(dde._trig_history(coef, tau, m, scale=target / sup))
+    drawn = dde.invariant_ball_check(mg, R, 6, 20.0, seed=5)
+    given = dde.invariant_ball_check(mg, R, 0, 20.0, histories=hists)
+    assert drawn == given
+    (drawn_args, drawn_out), (given_args, given_out) = runs
+    for got, want in zip((*drawn_args[1:3], *drawn_out), (*given_args[1:3], *given_out)):
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------- monodromy
