@@ -13,107 +13,33 @@ Layers:
 - cli: the `lyapdim` command
 """
 
-from .bounds import (
-    BoundProblem,
-    DimensionBound,
-    alpha_plus,
-    lambert_root,
-    mackey_glass_bound,
-    mackey_glass_scaled_bound,
-    scalar_bound,
-    scaled_bound,
-    suarez_schopf_bound,
-    suarez_schopf_scaled_bound,
-)
-from .charroots import (
-    CharProblem,
-    RootSet,
-    asymptotic_slope,
-    char_roots,
-    determined_roots,
-    halfplane_count,
-    local_dimension,
-    unstable_count,
-)
-from .cocycle import (
-    MatrixCocycle,
-    kaplan_yorke,
-    liouville_check,
-    lyapunov_dimension,
-    lyapunov_metric,
-    uniform_exponents,
-    volume_growth_qr,
-)
-from .dde import (
-    DelayModel,
-    HistorySegment,
-    integrate,
-    invariant_ball_check,
-    linearized_monodromy,
-    mackey_glass,
-    numerical_lyapunov_spectrum,
-    suarez_schopf,
-)
-from .errors import (
-    DegenerateMetricError,
-    InputError,
-    NeedsMoreRootsError,
-    NumericalFailure,
-)
-from .tensor import (
-    compound_additive,
-    compound_multiplicative,
-    omega_d,
-    singular_values,
-    trace_numbers,
-    wedge_gram,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundProblem",
-    "CharProblem",
-    "DegenerateMetricError",
-    "DelayModel",
-    "DimensionBound",
-    "HistorySegment",
-    "InputError",
-    "MatrixCocycle",
-    "NeedsMoreRootsError",
-    "NumericalFailure",
-    "RootSet",
-    "alpha_plus",
-    "asymptotic_slope",
-    "char_roots",
-    "compound_additive",
-    "compound_multiplicative",
-    "determined_roots",
-    "halfplane_count",
-    "integrate",
-    "invariant_ball_check",
-    "kaplan_yorke",
-    "lambert_root",
-    "linearized_monodromy",
-    "liouville_check",
-    "local_dimension",
-    "lyapunov_dimension",
-    "lyapunov_metric",
-    "mackey_glass",
-    "mackey_glass_bound",
-    "mackey_glass_scaled_bound",
-    "numerical_lyapunov_spectrum",
-    "omega_d",
-    "scalar_bound",
-    "scaled_bound",
-    "singular_values",
-    "suarez_schopf",
-    "suarez_schopf_bound",
-    "suarez_schopf_scaled_bound",
-    "trace_numbers",
-    "uniform_exponents",
-    "unstable_count",
-    "volume_growth_qr",
-    "wedge_gram",
-    "__version__",
-]
+# each public name and the layer it lives in; a layer is imported on first
+# use (PEP 562), so `import lyapdim` loads neither numpy nor any layer
+_LAYERS = {
+    "bounds": ("BoundProblem", "DimensionBound", "alpha_plus", "lambert_root",
+               "mackey_glass_bound", "mackey_glass_scaled_bound", "scalar_bound",
+               "scaled_bound", "suarez_schopf_bound", "suarez_schopf_scaled_bound"),
+    "charroots": ("CharProblem", "RootSet", "asymptotic_slope", "char_roots",
+                  "determined_roots", "halfplane_count", "local_dimension", "unstable_count"),
+    "cocycle": ("MatrixCocycle", "kaplan_yorke", "liouville_check", "lyapunov_dimension",
+                "lyapunov_metric", "uniform_exponents", "volume_growth_qr"),
+    "dde": ("DelayModel", "HistorySegment", "integrate", "invariant_ball_check",
+            "linearized_monodromy", "mackey_glass", "numerical_lyapunov_spectrum",
+            "suarez_schopf"),
+    "errors": ("DegenerateMetricError", "InputError", "NeedsMoreRootsError", "NumericalFailure"),
+    "tensor": ("compound_additive", "compound_multiplicative", "omega_d", "singular_values",
+               "trace_numbers", "wedge_gram"),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .dde import _mg_fprime
 from .errors import InputError, NumericalFailure
 
 __all__ = [
@@ -190,6 +187,8 @@ def alpha_plus(m: int, eigen_sup: Sequence[float], kappa0: float, vdot_sup: floa
     -kappa0 contributes -kappa0, which also dominates any remaining head
     eigenvalue below that level.
     """
+    import numpy as np
+
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     lam = np.asarray(eigen_sup, dtype=float)
@@ -209,6 +208,13 @@ def mackey_glass_ball_radius(beta: float, gamma: float, k: float) -> float:
     return (beta / gamma) * (k - 1.0) ** ((k - 1.0) / k) / k
 
 
+def _mg_fprime(y, k: float):
+    """Derivative F' of the Mackey-Glass feedback F(y) = y / (1 + |y|^k), on
+    a float or elementwise on an array."""
+    yk = abs(y) ** k
+    return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
+
+
 def mackey_glass_lambda(beta: float, gamma: float, k: float, mode: str = "rough") -> float:
     """Bound on |F'| feeding the delayed aggregate.
 
@@ -226,7 +232,7 @@ def mackey_glass_lambda(beta: float, gamma: float, k: float, mode: str = "rough"
     r0 = mackey_glass_ball_radius(beta, gamma, k)
     if r0 >= ((k + 1.0) / (k - 1.0)) ** (1.0 / k):
         return rough
-    return max(1.0, -float(_mg_fprime(r0, k)))
+    return max(1.0, -_mg_fprime(r0, k))
 
 
 _ORIGIN_ATTRACTS = DimensionBound(0.0, -1.0, 0.0, None, "origin-global-attractor")

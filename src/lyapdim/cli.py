@@ -11,16 +11,35 @@ deterministic for a fixed config and seed; CSV carries the schema header
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from . import bounds, charroots, cocycle, dde, delayop, tensor
+from . import bounds
 from .errors import InputError, NeedsMoreRootsError, NumericalFailure
+
+
+class _OnFirstUse:
+    """Stands in for a module until the first attribute lookup, which imports
+    it and puts it in this module's globals in the stand-in's place, so that
+    a subcommand loads only the layers it runs: `bound` never loads numpy."""
+
+    def __init__(self, name: str, module: str):
+        self._name, self._module = name, module
+
+    def __getattr__(self, attr: str):
+        module = globals()[self._name] = importlib.import_module(self._module, __package__)
+        return getattr(module, attr)
+
+
+np = _OnFirstUse("np", "numpy")
+charroots, cocycle, dde, delayop, tensor = (
+    _OnFirstUse(name, f".{name}") for name in ("charroots", "cocycle", "dde", "delayop", "tensor")
+)
 
 CSV_HEADER = "# lyapdim v1"
 
@@ -45,8 +64,17 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's random generators, which take no negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(text)
+    return seed
+
+
+_seed.__name__ = "non-negative int"  # argparse names the type in its message
 _ON_OFF = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
-_KINDS = {int: "an integer", float: "a number"}
+_KINDS = {int: "an integer", float: "a number", _seed: "a non-negative integer"}
 
 
 def _config_value(key: str, action: argparse.Action, text: str):
@@ -59,10 +87,10 @@ def _config_value(key: str, action: argparse.Action, text: str):
     try:
         value = text if action.type is None else action.type(text)
     except ValueError:
-        try:  # a fractional integer setting shows as the number it is
-            shown = float(text)
-        except ValueError:
-            shown = text
+        shown = text
+        for number in (float, int):  # a number shows as the number it is
+            with contextlib.suppress(ValueError):
+                shown = number(text)
         raise InputError(f"{key} must be {_KINDS[action.type]}, got {shown!r}") from None
     if action.choices is not None and value not in action.choices:
         raise InputError(f"{key} must be one of {', '.join(action.choices)}, got {text!r}")
@@ -743,7 +771,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         flag("--config", help="key=value config file; flags override")
         flag("--output", help="output path (default stdout)")
         flag("--format", default="csv", choices=("csv", "json"))
-        flag("--seed", type=int, default=0)
+        flag("--seed", type=_seed, default=0)
         if model:
             flag("--model")
             for param in ("beta", "gamma", "k", "alpha", "forcing", "a", "b", "tau"):

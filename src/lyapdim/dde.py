@@ -21,12 +21,14 @@ arithmetic in the same order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import cocycle
+from .bounds import _mg_fprime
 from .errors import InputError, NumericalFailure
 
 __all__ = [
@@ -82,12 +84,6 @@ class SpectrumReport(NamedTuple):
     horizon: float
     windows: int
     ky: float | None
-
-
-def _mg_fprime(y, k: float):
-    """Derivative F' of the Mackey-Glass feedback F(y) = y / (1 + |y|^k)."""
-    yk = np.abs(y) ** k
-    return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
 
 
 def mackey_glass(beta: float, gamma: float, k: float, tau: float) -> DelayModel:
@@ -559,10 +555,19 @@ def numerical_lyapunov_spectrum(
     for name, value in (("burn_in", burn_in), ("horizon", horizon)):
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value}")
+    if N < 1:
+        raise InputError(f"N must be at least 1, got {N}")
     if not 1 <= m <= model.n * (N + 1):
         raise InputError(f"need 1 <= m <= {model.n * (N + 1)} (the discretized dimension), got {m}")
     windows = max(4, round(horizon / tau))
     burn_windows = max(1, round(burn_in / tau))
+    need = windows * (model.n * (N + 1)) ** 2 * 8  # bytes of the dense windows
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InputError(
+            f"{windows} dense windows at N = {N} need {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of memory here"
+        )
     coef = np.random.default_rng(seed).normal(size=(model.n, 4, 2))
     h0 = _trig_history(coef, tau, offset=0.1, scale=0.05)
     # the trajectory runs two delays past burn-in before the first window

@@ -2,6 +2,7 @@
 mpmath (p e^{p+1} = c is p = W(c/e)), brute-force minimization over kappa,
 and frozen classical-parameter values."""
 
+import itertools
 import math
 
 import mpmath
@@ -281,6 +282,42 @@ def test_mackey_glass_lambda_tight_le_rough():
         assert tight == pytest.approx(grid, rel=1e-9)
     assert bounds.mackey_glass_lambda(1.2, 1.0, 20.0, mode="tight") == pytest.approx(
         4.29087, abs=5e-6)
+
+
+def _numpy_mg_fprime(y, k):
+    # F' as numpy evaluated it before it moved into bounds
+    yk = np.abs(y) ** k
+    return (1.0 + (1.0 - k) * yk) / (1.0 + yk) ** 2
+
+
+def test_mg_fprime_keeps_its_bits():
+    # one abs(y) ** k definition serves arrays (np.absolute, numpy's **) and
+    # floats (Python's **) with the bits of the numpy formula
+    rng = np.random.default_rng(25)
+    y, k = rng.uniform(-5.0, 5.0, 20000), rng.uniform(1.0, 40.0, 20000)
+    assert np.array_equal(bounds._mg_fprime(y, k), _numpy_mg_fprime(y, k))
+    for yi, ki in zip(y[:2000].tolist(), k[:2000].tolist()):
+        got = bounds._mg_fprime(yi, ki)
+        assert type(got) is float and got == _numpy_mg_fprime(yi, ki)
+
+
+def test_mackey_glass_lambda_tight_keeps_its_bits():
+    # the grid ends the ball before the dip of F' 114 times, where tight is
+    # max(1, -F'(R0)), and reaches it 336 times, where tight is rough
+    inside = 0
+    for beta, gamma, k in itertools.product(
+        np.linspace(0.11, 0.6, 15).tolist(), (0.1, 0.2, 0.5), np.linspace(1.5, 30.0, 15).tolist()
+    ):
+        if beta <= gamma:
+            continue
+        r0 = bounds.mackey_glass_ball_radius(beta, gamma, k)
+        tight = bounds.mackey_glass_lambda(beta, gamma, k, "tight")
+        if r0 < ((k + 1.0) / (k - 1.0)) ** (1.0 / k):
+            inside += 1
+            assert tight == max(1.0, -float(_numpy_mg_fprime(r0, k)))
+        else:
+            assert tight == bounds.mackey_glass_lambda(beta, gamma, k, "rough")
+    assert inside == 114
 
 
 def test_mackey_glass_ball_radius():

@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import lyapdim
 from lyapdim import bounds, charroots, cli, cocycle, dde, delayop, tensor
 
 
@@ -197,6 +198,8 @@ _SWEEP_CUSTOM = ["sweep", "--model", "custom", "--a", "0.8", "--b", "0.164025"]
         ("history = const:abc", ["simulate", *_LINEAR, "--T", "2"],
          "history const:VALUE needs a number, got 'const:abc'"),
         ("jobs = 0", [*_SWEEP_CUSTOM, "--tau-range", "1:2:3:lin"], "jobs must be at least 1, got 0"),
+        ("seed = -1", ["simulate", *_LINEAR, "--T", "2", "--history", "random"],
+         "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_config_value_checked_as_its_flag_exits_2(line, argv, message, tmp_path, capsys):
@@ -551,10 +554,18 @@ _SS = ["--model", "suarez_schopf", "--alpha", "0.75"]
         (["lyap", *_MG_TAU, "--tau", "nan"], "error: tau must be finite"),
         (["simulate", *_MG_TAU, "--T", "nan"], "T=nan"),
         (["simulate", *_MG_TAU, "--T", "inf"], "T=inf"),
+        # numpy's generators take no negative seed
+        (["lyap", *_MG_TAU, "--seed", "-1"], "argument --seed: invalid non-negative int value: '-1'"),
+        (["simulate", *_MG_TAU, "--T", "4", "--history", "random", "--seed", "-5"],
+         "argument --seed: invalid non-negative int value: '-5'"),
+        # N is checked, against the machine's memory too, before anything is built
+        (["lyap", *_MG_TAU, "--N", "-3"], "error: N must be at least 1, got -3"),
+        (["lyap", *_MG_TAU, "--N", "100000000"], "error: 100 dense windows at N = 100000000 need"),
     ],
     ids=["sweep-gamma-0", "bound-gamma-0", "sweep-misspelt-model", "sweep-unknown-model",
          "sweep-missing-params", "bound-custom-scaled", "simulate-custom", "roots-linear",
-         "lyap-horizon-nan", "lyap-burn-in-inf", "lyap-tau-nan", "simulate-T-nan", "simulate-T-inf"],
+         "lyap-horizon-nan", "lyap-burn-in-inf", "lyap-tau-nan", "simulate-T-nan", "simulate-T-inf",
+         "lyap-seed-negative", "simulate-seed-negative", "lyap-N-negative", "lyap-N-too-large"],
 )
 def test_model_input_outside_the_registry_fails_loudly(argv, message, capsys):
     rc, out, err = run_cli(argv, capsys)
@@ -628,6 +639,11 @@ def test_module_exports_exist():
     for module in (bounds, charroots, cocycle, dde, delayop, tensor):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+    # the package imports each name from its layer on first use
+    for name in lyapdim.__all__:
+        if name != "__version__":
+            obj = getattr(lyapdim, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 def test_console_script_installed():
@@ -672,7 +688,8 @@ from lyapdim.cli import main
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = main(argv) if argv else 0
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy")), out.getvalue()]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy")), out.getvalue(),
+                  sorted(m for m in sys.modules if m == "numpy" or m.startswith("lyapdim."))]))
 """
 
 
@@ -701,7 +718,7 @@ def _scipy_after(argv):
          "verify-cocycle", "verify-bounds", "verify-dde"],
 )
 def test_commands_without_root_finding_never_import_scipy(argv):
-    rc, scipy_modules, _ = _scipy_after(argv)
+    rc, scipy_modules, _, _ = _scipy_after(argv)
     assert rc == 0
     assert scipy_modules == []
 
@@ -719,9 +736,39 @@ def test_commands_without_root_finding_never_import_scipy(argv):
 )
 def test_root_finding_commands_never_import_scipy(argv):
     # every Lambert-W branch comes from numpy and math
-    rc, scipy_modules, out = _scipy_after(argv)
+    rc, scipy_modules, out, _ = _scipy_after(argv)
     assert rc == 0
     assert scipy_modules == []
     if argv[0] == "roots":
         comments, cols, rows = parse_csv(out)
         assert "N_u 4" in comments and cols == ["index", "re", "im", "residual"] and rows
+
+
+_BOUND_ONLY = {"lyapdim.bounds", "lyapdim.cli", "lyapdim.errors"}
+_INTEGRATOR = _BOUND_ONLY | {"numpy", "lyapdim.dde", "lyapdim.cocycle", "lyapdim.tensor"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        ([], _BOUND_ONLY),
+        (["bound", *_MG, "--tau", "22"], _BOUND_ONLY),
+        (["bound", *_MG, "--tau", "22", "--lambda-mode", "tight"], _BOUND_ONLY),
+        (["bound", *_MG, "--tau", "22.5", "--scaled"], _BOUND_ONLY),
+        (["bound", "--model", "suarez_schopf", "--alpha", "0.75", "--tau", "1.596", "--scaled"],
+         _BOUND_ONLY),
+        (["bound", "--model", "custom", "--a", "0.8", "--b", "0.164025", "--tau", "2"], _BOUND_ONLY),
+        (["sweep", *_MG, "--quantity", "bound", "--tau-range", "10:100:4:log"],
+         _BOUND_ONLY | {"numpy"}),
+        (["simulate", *_MG, "--tau", "2", "--T", "4"], _INTEGRATOR),
+        (["lyap", *_LINEAR, "--m", "2", "--N", "8", "--burn-in", "3", "--horizon", "4"], _INTEGRATOR),
+        (["verify", "--suite", "cocycle"], _BOUND_ONLY | {"numpy", "lyapdim.cocycle", "lyapdim.tensor"}),
+    ],
+    ids=["import", "bound", "bound-tight", "bound-scaled", "bound-suarez-schopf", "bound-custom",
+         "sweep-bound", "simulate", "lyap", "verify-cocycle"],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, loads):
+    # `bound` is closed-form arithmetic in bounds, so it starts without numpy
+    rc, _, _, loaded = _scipy_after(argv)
+    assert rc == 0
+    assert set(loaded) <= loads, sorted(set(loaded) - loads)

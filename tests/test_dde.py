@@ -663,6 +663,27 @@ def test_spectrum_validation():
             dde.numerical_lyapunov_spectrum(model, 1.0, 8.0, m=m, N=10)
 
 
+def test_spectrum_checks_N_before_it_allocates(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before N was checked")
+
+    monkeypatch.setattr(dde, "integrate", never)
+    model = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
+    for N in (0, -3):
+        with pytest.raises(InputError, match=f"^N must be at least 1, got {N}$"):
+            dde.numerical_lyapunov_spectrum(model, 1100.0, 2200.0, m=6, N=N)
+    # 100 windows of (N + 1)^2 float64 entries each, 7.45e9 GiB
+    with pytest.raises(InputError, match=r"^100 dense windows at N = 100000000 need 7\.45e\+09 GiB"):
+        dde.numerical_lyapunov_spectrum(model, 1100.0, 2200.0, m=6, N=100_000_000)
+    # the bound is the machine's memory: pages times page size
+    need = 100 * 65**2 * 8
+    monkeypatch.setattr(dde.os, "sysconf", lambda name: need if name == "SC_PAGE_SIZE" else 1)
+    with pytest.raises(AssertionError, match="integrated before"):
+        dde.numerical_lyapunov_spectrum(model, 1100.0, 2200.0, m=6, N=64)
+    with pytest.raises(InputError, match="dense windows at N = 65 need"):
+        dde.numerical_lyapunov_spectrum(model, 1100.0, 2200.0, m=6, N=65)
+
+
 def test_spectrum_order_at_the_discretized_dimension():
     # N = 8 history intervals give n (N + 1) = 9 coordinates
     model = dde.linear_scalar(-1.0, 0.5, 1.0)
