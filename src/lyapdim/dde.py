@@ -547,7 +547,8 @@ def numerical_lyapunov_spectrum(
     frame reads the same list: exponent j is the mean of log|R_jj| over the
     full horizon, with last-half means as the convergence diagnostic.  ky is
     cocycle.kaplan_yorke (the first negative partial sum) when a partial sum
-    of the m computed exponents is negative, else None.
+    of the m computed exponents is negative, else None.  N < 1, and windows
+    that would not fit in physical memory, are rejected before any work.
     """
     tau = model.tau
     dt = tau / _STEPS_PER_TAU if dt is None else dt
