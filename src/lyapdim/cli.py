@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import json
 import math
@@ -340,10 +341,7 @@ def cmd_simulate(args) -> int:
     m = round(model.tau / traj.dt)
     w.table(
         ["t"] + [f"x_{i+1}" for i in range(model.n)],
-        [
-            [float(-model.tau + i * traj.dt)] + [float(v) for v in traj.values[i]]
-            for i in range(m, traj.values.shape[0])
-        ],
+        [[float(-model.tau + i * traj.dt)] + x for i, x in enumerate(traj.values[m:].tolist(), m)],
     )
     w.flush()
     return 0
@@ -564,8 +562,10 @@ def _suite_cocycle(seed: int):
         A = rng.normal(size=(n, n)) - 1.5 * np.eye(n)
         E = _expm(A * 0.5)
         coc = cocycle.MatrixCocycle((0,), lambda q: q, lambda q: E, n, 0.5)
-        ky = cocycle.kaplan_yorke(cocycle.uniform_exponents(coc, n, 40.0).lambdas, n)
-        ld = cocycle.lyapunov_dimension(coc, 40.0).value
+        # one table of volume growths serves both sides
+        table = cocycle._log_omega_table(coc, n, 40.0)
+        ky = cocycle.kaplan_yorke(cocycle._exponents_of(table, 40.0).lambdas, n)
+        ld = cocycle._dimension_of(table).value
         ok = ok and (ky - 1.0 < ld + 1e-6) and (ld <= ky + 1e-6)
     checks.append(("dimension sandwich", ok, ""))
     return checks
@@ -857,7 +857,14 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """The console script and `python -m lyapdim.cli`: one call in a process
+    of its own.  Its objects die with the process, so the cyclic collector
+    is off while it runs, and the objects left are frozen, out of the
+    collection at interpreter exit.  Callers of main() keep the collector."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -160,7 +160,13 @@ def uniform_exponents(coc: MatrixCocycle, m_max: int, T: float) -> ExponentRepor
     """
     if not 1 <= m_max <= coc.dim:
         raise InputError(f"need 1 <= m_max <= {coc.dim}, got {m_max}")
-    sums = _log_omega_table(coc, m_max, T).max(axis=0)
+    return _exponents_of(_log_omega_table(coc, m_max, T), T)
+
+
+def _exponents_of(table: np.ndarray, T: float) -> ExponentReport:
+    """uniform_exponents from a _log_omega_table over [0, T]."""
+    m_max = table.shape[1] - 1
+    sums = table.max(axis=0)
     # a collapsed order (log omega = -inf) keeps exponent -inf, where
     # differencing would take -inf - -inf
     lam = np.full(m_max, -math.inf)
@@ -195,8 +201,12 @@ def lyapunov_dimension(coc: MatrixCocycle, T: float) -> DimensionResult:
     the d where every base point contracts is an intersection of half-lines,
     whose start is exact; a cocycle that never contracts saturates at dim.
     """
-    n = coc.dim
-    table = _log_omega_table(coc, n, T)
+    return _dimension_of(_log_omega_table(coc, coc.dim, T))
+
+
+def _dimension_of(table: np.ndarray) -> DimensionResult:
+    """lyapunov_dimension from a _log_omega_table of every order."""
+    n = table.shape[1] - 1
     if table[:, n].max() >= 0.0:
         return DimensionResult(float(n), True)
     for m in range(n):

@@ -4,9 +4,10 @@ Method-of-steps RK4 integration with cubic-Hermite dense output (the step
 size divides the delay, so derivative breakpoints always sit on grid nodes
 and every lookup interval is one-sided), model definitions, invariant-ball
 checks, linearized monodromy matrices on a uniform history grid, and
-numerical Lyapunov spectra via windowed QR accumulation: each delay window's
-monodromy is built once, into a list that both the QR pass and its seed
-frame read.
+numerical Lyapunov spectra via windowed QR accumulation: every delay
+window's monodromy is built once, by one RK4 recurrence over all windows,
+into one (windows, B, B) array that both the QR pass and its seed frame
+read.
 
 A model splits its right side in two: delayed(xd), the part that reads only
 the delayed state, and rhs(t, x, d), which combines the current state with
@@ -487,47 +488,64 @@ _MID_WEIGHTS = (
 
 
 def linearized_monodromy(
-    model: DelayModel, traj: Trajectory, t0: float, N: int = 64, span: int = 1
+    model: DelayModel, traj: Trajectory, t0: float | np.ndarray, N: int = 64, span: int = 1
 ) -> np.ndarray:
     """Matrix of the linearized history-to-history map over [t0, t0 + span*tau].
 
     Coordinates: n components at each of N+1 uniform history nodes, node 0 at
     theta = -tau, node N at theta = 0.  Columns are responses to basis
     histories, integrated by RK4 with quartic-accurate midpoint lookups from
-    the stored node ladder.  The Jacobians at every stage time of the window
-    come from one batched model.jac call.
+    the stored node ladder.  t0 is one window start, which gives one (B, B)
+    matrix with B = n (N+1), or a 1-D array of starts, which gives their
+    windows stacked as (windows, B, B).  All windows run one recurrence on a
+    leading window axis: their first delay segment is the same identity
+    history, read from one shared copy, and the Jacobians at every stage
+    time of every window come from one batched model.jac call.
     """
     tau = model.tau
     if N < 3:
         raise InputError(f"need N >= 3 history intervals for the midpoint stencil, got {N}")
-    if t0 < traj.t_start + tau - 1e-9 or t0 + span * tau > traj.t_end + 1e-9:
+    starts = np.asarray(t0, dtype=float)
+    if starts.ndim > 1 or starts.size == 0:
+        raise InputError(f"t0 must be one window start or a 1-D array of them, got shape {starts.shape}")
+    t = starts.reshape(-1)
+    if t.min() < traj.t_start + tau - 1e-9 or t.max() + span * tau > traj.t_end + 1e-9:
         raise InputError("trajectory does not cover the requested window")
-    n, B = model.n, model.n * (N + 1)
+    n, B, K = model.n, model.n * (N + 1), t.size
     h = tau / N
     total = span * N
-    W = np.zeros((total + N + 1, n, B))
-    W[: N + 1] = np.eye(B).reshape(N + 1, n, B)
 
-    s = t0 + np.arange(total) * h
-    stages = np.stack([s, s + 0.5 * h, s + h])  # (3, total): RK4 stage times
+    s = (t[:, None] + np.arange(total) * h).reshape(-1)
+    stages = np.stack([s, s + 0.5 * h, s + h])  # (3, K total): RK4 stage times
     J0, Jd = model.jac(stages, traj.value(stages), traj.value(stages - tau))
-    A = np.asarray(J0, dtype=float).reshape(3, total, n, n)
-    D = np.asarray(Jd, dtype=float).reshape(3, total, n, n)
+    A = np.asarray(J0, dtype=float).reshape(3, K, total, n, n)
+    D = np.asarray(Jd, dtype=float).reshape(3, K, total, n, n)
     r = np.arange(total) % N
     rows = (r > 0).astype(int) + (r == N - 1)
 
+    # node j of the ladder is hist[:, j] for j <= N and X[:, j - N] after it
+    hist = np.eye(B).reshape(1, N + 1, n, B)
+    X = np.empty((K, total + 1, n, B))
+    X[:, 0] = hist[:, N]
     for i in range(total):
-        V = W[N + i]
-        lo = i - rows[i]
-        dm = np.tensordot(_MID_WEIGHTS[rows[i]], W[lo : lo + 4], axes=(0, 0))
-        k1 = A[0, i] @ V + D[0, i] @ W[i]
-        k2 = A[1, i] @ (V + 0.5 * h * k1) + D[1, i] @ dm
-        k3 = A[1, i] @ (V + 0.5 * h * k2) + D[1, i] @ dm
-        k4 = A[2, i] @ (V + h * k3) + D[2, i] @ W[i + 1]
-        W[N + i + 1] = V + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # a step reads delayed nodes of its own delay segment only
+        past, j = (hist, i) if i < N else (X, i - N)
+        V = X[:, i]
+        lo = j - rows[i]
+        # a product per window: one BLAS call over all windows' columns
+        # would round some columns differently from a window built alone
+        dm = (_MID_WEIGHTS[rows[i]] @ past[:, lo : lo + 4].reshape(-1, 4, n * B)).reshape(-1, n, B)
+        a, d = A[:, :, i], D[:, :, i]  # (3, K, n, n): this step's stages
+        k1 = a[0] @ V + d[0] @ past[:, j]
+        k2 = a[1] @ (V + 0.5 * h * k1) + d[1] @ dm
+        k3 = a[1] @ (V + 0.5 * h * k2) + d[1] @ dm
+        k4 = a[2] @ (V + h * k3) + d[2] @ past[:, j + 1]
+        X[:, i + 1] = V + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # a copy, not a view that would keep all of W alive with each window
-    return W[total:].reshape(B, B).copy()
+    # the last N + 1 nodes; past one delay a copy, so that no window keeps
+    # the rest of X alive
+    out = X[:, total - N :].reshape(K, B, B)
+    return out if starts.ndim else out[0]
 
 
 def numerical_lyapunov_spectrum(
@@ -542,9 +560,10 @@ def numerical_lyapunov_spectrum(
     """Exponents of the linearized flow along an attractor trajectory.
 
     Integrates the model from a random history past burn_in, builds the
-    tau-window monodromy sequence on an (N+1)-node history grid once, as a
-    list, and feeds it as a matrix cocycle to one order-m QR pass, whose seed
-    frame reads the same list: exponent j is the mean of log|R_jj| over the
+    tau-window monodromy sequence on an (N+1)-node history grid once, as one
+    (windows, B, B) array from one batched linearized_monodromy call, and
+    feeds it as a matrix cocycle to one order-m QR pass, whose seed frame
+    reads the same array: exponent j is the mean of log|R_jj| over the
     full horizon, with last-half means as the convergence diagnostic.  ky is
     cocycle.kaplan_yorke (the first negative partial sum) when a partial sum
     of the m computed exponents is negative, else None.  N < 1, and windows
@@ -574,7 +593,7 @@ def numerical_lyapunov_spectrum(
     # the trajectory runs two delays past burn-in before the first window
     # and one past the last
     traj = integrate(model, h0, (burn_windows + windows + 3) * tau, dt)
-    fibers = [linearized_monodromy(model, traj, (burn_windows + 2 + w) * tau, N) for w in range(windows)]
+    fibers = linearized_monodromy(model, traj, (burn_windows + 2 + np.arange(windows)) * tau, N)
     coc = cocycle.MatrixCocycle((0,), lambda q: q + 1, fibers.__getitem__, model.n * (N + 1), tau)
     log_r = cocycle.volume_growth_qr(coc, 0, m, windows * tau).log_r
     half = windows // 2

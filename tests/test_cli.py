@@ -2,6 +2,7 @@
 exit codes, determinism, worker pools."""
 
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -408,6 +409,22 @@ def test_verify_cocycle_ill_conditioned_seed(capsys):
     assert all(l.startswith("PASS") for l in out.strip().split("\n"))
 
 
+def test_dimension_sandwich_builds_one_table_per_cocycle(monkeypatch):
+    # 10 x 2 passes against the SVD, one per base point of the three
+    # equilibria, and one per sandwich cocycle for both of its sides
+    runs = []
+    qr = cocycle.volume_growth_qr
+
+    def counted(coc, q, m, T):
+        runs.append(T)
+        return qr(coc, q, m, T)
+
+    monkeypatch.setattr(cocycle, "volume_growth_qr", counted)
+    checks = cli._suite_cocycle(0)
+    assert all(ok for _, ok, _ in checks)
+    assert len(runs) == 20 + 3 + 5 and runs.count(40.0) == 5
+
+
 def test_suite_expm_matches_scipy():
     # the cocycle suite's random matrices: ten n x n with n in 2..4, and
     # five 0.5 (A - 1.5 I) with A 3 x 3; where scipy's expm is more than
@@ -655,6 +672,63 @@ def test_console_script_installed():
     )
     assert res.returncode == 0
     assert res.stdout.startswith("# lyapdim v1")
+
+
+def test_module_entry_writes_what_main_writes(tmp_path):
+    # `python -m lyapdim.cli` runs entry(), without the cyclic collector
+    argv = ["lyap", *_MG, "--tau", "22", "--burn-in", "220", "--horizon", "440", "--seed", "7"]
+    assert cli.main(argv + ["--output", str(tmp_path / "main.csv")]) == 0
+    res = subprocess.run(
+        [sys.executable, "-m", "lyapdim.cli", *argv, "--output", str(tmp_path / "entry.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_module_entry_numerical_failure_exits_1():
+    # Suarez-Schopf at tau = 300 blows up under the default step
+    res = subprocess.run(
+        [sys.executable, "-m", "lyapdim.cli", "lyap", "--model", "suarez_schopf",
+         "--alpha", "0.75", "--tau", "300", "--m", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "numerical failure: nonfinite state at t = 79.6875\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert cli.main(["verify", "--suite", "dde"]) == 0
+        assert cli.main(["bound", "--model", "custom", "--a", "0.8", "--tau", "2"]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_entry_runs_main_without_the_collector(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 3)
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+    finally:
+        gc.unfreeze()
+        if was:
+            gc.enable()
+    assert exc.value.code == 3 and seen == [False]
 
 
 _QUIET_PROBE = """

@@ -598,6 +598,33 @@ def test_monodromy_calls_jac_once():
     assert M1.shape == M2.shape == (17, 17)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [dde.mackey_glass(0.2, 0.1, 10.0, 2.0), dde.suarez_schopf(0.75, 2.0, forcing=0.5)],
+    ids=["mackey_glass", "suarez_schopf-forced"],
+)
+@pytest.mark.parametrize("N", [3, 64])
+@pytest.mark.parametrize("span", [1, 2])
+def test_batched_windows_equal_single_windows_bit_for_bit(model, N, span):
+    coef = np.random.default_rng(4).normal(size=(1, 4, 2))
+    h0 = dde._trig_history(coef, 2.0, offset=0.1, scale=0.05)
+    traj = dde.integrate(model, h0, 16.0, 2.0 / 128)
+    t0s = np.array([2.0, 3.0, 4.0, 6.0, 9.5])  # overlapping and apart
+    batched = dde.linearized_monodromy(model, traj, t0s, N, span)
+    single = np.stack([dde.linearized_monodromy(model, traj, t, N, span) for t in t0s])
+    assert batched.shape == (5, N + 1, N + 1)
+    assert np.array_equal(batched, single)
+
+
+def test_batched_windows_check_their_starts():
+    model = dde.linear_scalar(-1.0, 0.5, 1.0)
+    traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 3.0, 1.0 / 16)
+    assert dde.linearized_monodromy(model, traj, [1.0], 8).shape == (1, 9, 9)
+    for t0s in ([1.0, -0.5], [1.0, 2.5], [], [[1.0], [2.0]]):
+        with pytest.raises(InputError):
+            dde.linearized_monodromy(model, traj, np.array(t0s), 8)
+
+
 def test_monodromy_needs_three_history_intervals():
     # the midpoint stencil spans four nodes inside one delay segment
     model = dde.linear_scalar(-1.0, 0.5, 1.0)
@@ -639,19 +666,21 @@ def test_spectrum_ky_is_the_cocycle_formula():
 
 
 def test_spectrum_builds_each_window_once(monkeypatch):
-    # _seed_frame and the QR pass read the same windows: one monodromy each
+    # _seed_frame and the QR pass read the same windows, all built by one
+    # batched call: one monodromy per window start
     calls = []
     build = dde.linearized_monodromy
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(np.asarray(args[2]))
         return build(*args, **kwargs)
 
     monkeypatch.setattr(dde, "linearized_monodromy", counted)
     model = dde.mackey_glass(0.2, 0.1, 10.0, 22.0)
     rep = dde.numerical_lyapunov_spectrum(model, 22.0, 440.0, m=3, N=16, seed=0)
     assert rep.windows == 20
-    assert len(calls) == rep.windows == len(set(calls))
+    [starts] = calls
+    assert starts.shape == (rep.windows,) == np.unique(starts).shape
 
 
 def test_spectrum_validation():
