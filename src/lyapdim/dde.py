@@ -488,18 +488,18 @@ _MID_WEIGHTS = (
 
 
 def linearized_monodromy(
-    model: DelayModel, traj: Trajectory, t0: float | np.ndarray, N: int = 64, span: int = 1
+    model: DelayModel, traj: Trajectory, t0: float | np.ndarray, N: int = 64
 ) -> np.ndarray:
-    """Matrix of the linearized history-to-history map over [t0, t0 + span*tau].
+    """Matrix of the linearized history-to-history map over [t0, t0 + tau].
 
     Coordinates: n components at each of N+1 uniform history nodes, node 0 at
     theta = -tau, node N at theta = 0.  Columns are responses to basis
     histories, integrated by RK4 with quartic-accurate midpoint lookups from
-    the stored node ladder.  t0 is one window start, which gives one (B, B)
-    matrix with B = n (N+1), or a 1-D array of starts, which gives their
-    windows stacked as (windows, B, B).  All windows run one recurrence on a
-    leading window axis: their first delay segment is the same identity
-    history, read from one shared copy, and the Jacobians at every stage
+    the identity history's node ladder.  t0 is one window start, which gives
+    one (B, B) matrix with B = n (N+1), or a 1-D array of starts, which gives
+    their windows stacked as (windows, B, B).  All windows run one recurrence
+    on a leading window axis: every step reads its delayed nodes from one
+    shared copy of the identity history, and the Jacobians at every stage
     time of every window come from one batched model.jac call.
     """
     tau = model.tau
@@ -509,42 +509,36 @@ def linearized_monodromy(
     if starts.ndim > 1 or starts.size == 0:
         raise InputError(f"t0 must be one window start or a 1-D array of them, got shape {starts.shape}")
     t = starts.reshape(-1)
-    if t.min() < traj.t_start + tau - 1e-9 or t.max() + span * tau > traj.t_end + 1e-9:
+    if t.min() < traj.t_start + tau - 1e-9 or t.max() + tau > traj.t_end + 1e-9:
         raise InputError("trajectory does not cover the requested window")
     n, B, K = model.n, model.n * (N + 1), t.size
     h = tau / N
-    total = span * N
 
-    s = (t[:, None] + np.arange(total) * h).reshape(-1)
-    stages = np.stack([s, s + 0.5 * h, s + h])  # (3, K total): RK4 stage times
+    s = (t[:, None] + np.arange(N) * h).reshape(-1)
+    stages = np.stack([s, s + 0.5 * h, s + h])  # (3, K N): RK4 stage times
     J0, Jd = model.jac(stages, traj.value(stages), traj.value(stages - tau))
-    A = np.asarray(J0, dtype=float).reshape(3, K, total, n, n)
-    D = np.asarray(Jd, dtype=float).reshape(3, K, total, n, n)
-    r = np.arange(total) % N
+    A = np.asarray(J0, dtype=float).reshape(3, K, N, n, n)
+    D = np.asarray(Jd, dtype=float).reshape(3, K, N, n, n)
+    r = np.arange(N)
     rows = (r > 0).astype(int) + (r == N - 1)
 
-    # node j of the ladder is hist[:, j] for j <= N and X[:, j - N] after it
     hist = np.eye(B).reshape(1, N + 1, n, B)
-    X = np.empty((K, total + 1, n, B))
+    X = np.empty((K, N + 1, n, B))
     X[:, 0] = hist[:, N]
-    for i in range(total):
-        # a step reads delayed nodes of its own delay segment only
-        past, j = (hist, i) if i < N else (X, i - N)
+    for i in range(N):
         V = X[:, i]
-        lo = j - rows[i]
+        lo = i - rows[i]
         # a product per window: one BLAS call over all windows' columns
         # would round some columns differently from a window built alone
-        dm = (_MID_WEIGHTS[rows[i]] @ past[:, lo : lo + 4].reshape(-1, 4, n * B)).reshape(-1, n, B)
+        dm = (_MID_WEIGHTS[rows[i]] @ hist[:, lo : lo + 4].reshape(-1, 4, n * B)).reshape(-1, n, B)
         a, d = A[:, :, i], D[:, :, i]  # (3, K, n, n): this step's stages
-        k1 = a[0] @ V + d[0] @ past[:, j]
+        k1 = a[0] @ V + d[0] @ hist[:, i]
         k2 = a[1] @ (V + 0.5 * h * k1) + d[1] @ dm
         k3 = a[1] @ (V + 0.5 * h * k2) + d[1] @ dm
-        k4 = a[2] @ (V + h * k3) + d[2] @ past[:, j + 1]
+        k4 = a[2] @ (V + h * k3) + d[2] @ hist[:, i + 1]
         X[:, i + 1] = V + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # the last N + 1 nodes; past one delay a copy, so that no window keeps
-    # the rest of X alive
-    out = X[:, total - N :].reshape(K, B, B)
+    out = X.reshape(K, B, B)
     return out if starts.ndim else out[0]
 
 

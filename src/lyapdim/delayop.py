@@ -6,16 +6,22 @@ Clenshaw-Curtis quadrature.  Partition nodes are duplicated so one-sided
 limits (and the discontinuous piecewise-exponential weight) are represented
 exactly.  Segments are indexed from the right: segment j lives on
 [-tau_{j+1}, -tau_j] and carries the weight rate kappa_j.
+
+Within a segment the collocation nodes ascend in theta, and each
+differentiation matrix D acts on values in that order.  The quadrature
+weights are solved from exact Chebyshev moments; the cosine Vandermonde
+system behind them is well conditioned at these nodes up to order 512.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._spectral import scaled_segment
 from .errors import DegenerateMetricError, InputError
 
 __all__ = [
@@ -36,7 +42,27 @@ def _square(M, n, name):
     A = np.asarray(M, dtype=float)
     if A.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise InputError(f"{name} must be finite")
     return A
+
+
+def _finite(values, name) -> tuple:
+    vals = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, vals)):
+        raise InputError(f"{name} must be finite, got {vals}")
+    return vals
+
+
+def _ascending(partition) -> tuple:
+    part = _finite(partition, "partition nodes")
+    if any(b <= a for a, b in zip(part, part[1:])):
+        raise InputError("partition must be strictly ascending")
+    return part
+
+
+def _same_partition(a, b) -> bool:
+    return len(a) == len(b) and all(abs(x - y) <= 1e-12 for x, y in zip(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +78,8 @@ class DelayOperatorSpec:
     kernels: tuple = ()
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise InputError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise InputError(f"tau must be positive and finite, got {self.tau}")
         object.__setattr__(self, "L0", _square(self.L0, self.n, "L0"))
         object.__setattr__(self, "L_tau", _square(self.L_tau, self.n, "L_tau"))
         taps = tuple((float(t), _square(M, self.n, f"tap at {t}")) for t, M in self.taps)
@@ -79,14 +105,12 @@ class WeightProfile:
     partition: tuple
 
     def __post_init__(self):
-        kappas = tuple(float(k) for k in self.kappas)
-        part = tuple(float(p) for p in self.partition)
+        kappas = _finite(self.kappas, "weight rates")
+        part = _ascending(self.partition)
         if len(kappas) != len(part) - 1:
             raise InputError(
                 f"{len(kappas)} rates need {len(kappas) + 1} partition nodes, got {len(part)}"
             )
-        if any(b <= a for a, b in zip(part, part[1:])):
-            raise InputError("partition must be strictly ascending")
         if abs(part[-1]) > 1e-12 or part[0] >= 0:
             raise InputError("partition must run from -tau < 0 to 0")
         object.__setattr__(self, "kappas", kappas)
@@ -124,24 +148,42 @@ class _Segment(NamedTuple):
     w: np.ndarray
 
 
+def _lobatto_segment(order: int, left: float, right: float) -> _Segment:
+    """Chebyshev-Lobatto nodes cos(j pi/order) ascending on [left, right], the
+    spectral differentiation matrix on them and the Clenshaw-Curtis weights."""
+    j = np.arange(order + 1)
+    x = -np.cos(np.pi * j / order)
+    c = np.where((j == 0) | (j == order), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(order + 1))
+    D -= np.diag(D.sum(axis=1))
+    # rows: T_k at the classical descending nodes cos(j pi/order); the
+    # moments of T_k on [-1, 1] are 2 / (1 - k^2) for even k, 0 for odd
+    V = np.cos(np.outer(j, j) * np.pi / order)
+    moments = np.zeros(order + 1)
+    moments[::2] = 2.0 / (1.0 - j[::2].astype(float) ** 2)
+    w = np.linalg.solve(V, moments)[::-1]
+    half = 0.5 * (right - left)
+    return _Segment(left + half * (x + 1.0), D / half, w * half)
+
+
 class TailGrid:
     """Per-segment collocation data, segment j indexed from the right."""
 
     def __init__(self, partition: Sequence[float], order: int | Sequence[int] = 32):
-        self.partition = tuple(float(p) for p in partition)
+        self.partition = _ascending(partition)
         nseg = len(self.partition) - 1
         if nseg < 1:
             raise InputError("need at least one segment")
         orders = [order] * nseg if np.isscalar(order) else list(order)
         if len(orders) != nseg:
             raise InputError(f"need {nseg} orders, got {len(orders)}")
+        if not all(isinstance(o, Real) and 1 <= o < math.inf and o % 1 == 0 for o in orders):
+            raise InputError(f"orders must be whole numbers >= 1, got {orders}")
         self.orders = tuple(int(o) for o in orders)
-        self.segments: list[_Segment] = []
-        for j in range(nseg):
-            left = self.partition[-(j + 2)]
-            right = self.partition[-(j + 1)]
-            theta, D, w = scaled_segment(self.orders[j], left, right)
-            self.segments.append(_Segment(theta, D, w))
+        part = self.partition
+        self.segments = [
+            _lobatto_segment(o, part[-(j + 2)], part[-(j + 1)]) for j, o in enumerate(self.orders)
+        ]
 
     @classmethod
     def for_profile(cls, profile: WeightProfile, order: int | Sequence[int] = 32):
@@ -152,11 +194,7 @@ class TailGrid:
         return len(self.segments)
 
     def matches(self, other: "TailGrid") -> bool:
-        return (
-            self.orders == other.orders
-            and len(self.partition) == len(other.partition)
-            and all(abs(a - b) <= 1e-12 for a, b in zip(self.partition, other.partition))
-        )
+        return self.orders == other.orders and _same_partition(self.partition, other.partition)
 
 
 @dataclass
@@ -185,12 +223,10 @@ class DiscretizedElement:
         """fn: callable theta-array -> (len, n) values, or a list per segment."""
         fns = fn if isinstance(fn, (list, tuple)) else [fn] * grid.n_segments
         head = np.atleast_1d(np.asarray(head, dtype=float))
-        tails = []
-        for j in range(grid.n_segments):
-            vals = np.asarray(fns[j](grid.segments[j].theta), dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, None] if head.size == 1 else vals
-            tails.append(vals.reshape(grid.segments[j].theta.size, head.size))
+        tails = [
+            np.asarray(f(seg.theta), dtype=float).reshape(seg.theta.size, head.size)
+            for f, seg in zip(fns, grid.segments)
+        ]
         return cls(head, tails, grid)
 
     @property
@@ -218,23 +254,21 @@ class DiscretizedElement:
     @classmethod
     def from_flat(cls, grid: TailGrid, vec: np.ndarray, n: int):
         vec = np.asarray(vec, dtype=float)
-        want = n + n * sum(seg.theta.size for seg in grid.segments)
-        if vec.ndim != 1 or vec.size != want:
-            raise InputError(f"flat vector must have length {want}, got {vec.shape}")
-        head, pos = vec[:n], n
-        tails = []
-        for seg in grid.segments:
-            k = seg.theta.size * n
-            tails.append(vec[pos : pos + k].reshape(seg.theta.size, n))
-            pos += k
-        return cls(head, tails, grid)
+        ends = n + n * np.cumsum([seg.theta.size for seg in grid.segments])
+        if vec.ndim != 1 or vec.size != ends[-1]:
+            raise InputError(f"flat vector must have length {ends[-1]}, got {vec.shape}")
+        head, *tails = np.split(vec, [n, *ends[:-1]])
+        return cls(head, [t.reshape(-1, n) for t in tails], grid)
 
 
 def _check_profile(profile: WeightProfile, grid: TailGrid):
-    if len(profile.partition) != len(grid.partition) or any(
-        abs(a - b) > 1e-12 for a, b in zip(profile.partition, grid.partition)
-    ):
+    if not _same_partition(profile.partition, grid.partition):
         raise InputError("weight profile partition does not match the grid")
+
+
+def _check_layout(spec: DelayOperatorSpec, v: DiscretizedElement):
+    if v.n != spec.n or v.grid.n_segments != len(spec.taps) + 1:
+        raise InputError("element does not match the operator layout")
 
 
 def weighted_inner(v: DiscretizedElement, w: DiscretizedElement, profile: WeightProfile) -> float:
@@ -264,12 +298,10 @@ def _kernel_integral(spec: DelayOperatorSpec, v: DiscretizedElement) -> np.ndarr
 _DOMAIN_TOL = 1e-8
 
 
-def _domain_residuals(spec: DelayOperatorSpec, v: DiscretizedElement) -> list[float]:
-    res = [float(np.linalg.norm(v.value_at_zero() - v.head))]
-    for j in range(1, v.grid.n_segments):
-        left, right = v.node_limits(j)
-        res.append(float(np.linalg.norm(left - right)))
-    return res
+def _domain_residuals(v: DiscretizedElement) -> list[float]:
+    """|tail(0) - head|, then the jump |left - right| at each interior node."""
+    pairs = [(v.value_at_zero(), v.head)] + [v.node_limits(j) for j in range(1, v.grid.n_segments)]
+    return [float(np.linalg.norm(a - b)) for a, b in pairs]
 
 
 def apply_L(spec: DelayOperatorSpec, v: DiscretizedElement) -> DiscretizedElement:
@@ -278,10 +310,9 @@ def apply_L(spec: DelayOperatorSpec, v: DiscretizedElement) -> DiscretizedElemen
     v must sit in the discrete domain: continuous tail with tail(0) = head,
     checked to _DOMAIN_TOL * sup-scale.
     """
-    if v.n != spec.n or v.grid.n_segments != len(spec.taps) + 1:
-        raise InputError("element does not match the operator layout")
+    _check_layout(spec, v)
     scale = v.sup_scale()
-    bad = [r for r in _domain_residuals(spec, v) if r > _DOMAIN_TOL * scale]
+    bad = [r for r in _domain_residuals(v) if r > _DOMAIN_TOL * scale]
     if bad:
         raise InputError(f"element violates domain continuity, residuals {bad}")
     head = spec.L0 @ v.value_at_zero() + spec.L_tau @ v.value_at_minus_tau()
@@ -312,6 +343,15 @@ def adjoint_residuals(
     return res
 
 
+def _with_kernels(spec, profile, j, seg, head, out):
+    """out + (sum_i M_i^T / rho_j) head on segment j, accumulated in place."""
+    for kernel in spec.kernels:
+        rho = profile.rho(j, seg.theta)
+        for i, th in enumerate(seg.theta):
+            out[i] += (np.asarray(kernel(th), dtype=float).T @ head) / rho[i]
+    return out
+
+
 def apply_L_star(
     spec: DelayOperatorSpec,
     profile: WeightProfile,
@@ -323,22 +363,17 @@ def apply_L_star(
     rho'/rho is kappa_j exactly on each open segment.  The adjoint boundary
     conditions must hold to _DOMAIN_TOL * sup-scale.
     """
-    if w.n != spec.n or w.grid.n_segments != len(spec.taps) + 1:
-        raise InputError("element does not match the operator layout")
+    _check_layout(spec, w)
     _check_profile(profile, w.grid)
     scale = w.sup_scale()
     res = adjoint_residuals(spec, profile, w)
     if any(r > _DOMAIN_TOL * scale for r in res):
         raise InputError(f"adjoint boundary conditions violated, residuals {res}")
     head = spec.L0.T @ w.head + w.value_at_zero()  # rho(0) = 1
-    tails = []
-    for j, (seg, tail) in enumerate(zip(w.grid.segments, w.tails)):
-        out = -(seg.D @ tail) - profile.kappas[j] * tail
-        for kernel in spec.kernels:
-            rho = profile.rho(j, seg.theta)
-            for i, th in enumerate(seg.theta):
-                out[i] += (np.asarray(kernel(th), dtype=float).T @ w.head) / rho[i]
-        tails.append(out)
+    tails = [
+        _with_kernels(spec, profile, j, seg, w.head, -(seg.D @ tail) - profile.kappas[j] * tail)
+        for j, (seg, tail) in enumerate(zip(w.grid.segments, w.tails))
+    ]
     return DiscretizedElement(head, tails, w.grid)
 
 
@@ -362,20 +397,15 @@ def symmetrize_S(
     y = (L0 + L0^T + rho(0) I + L_tau L_tau^T / rho(-tau)
          + sum_j L_j L_j^T / Delta_j) x + sum_i int M_i phi,
     psi_j = -kappa_j phi_j + (sum_i M_i^T / rho_j) x."""
-    if v.n != spec.n or v.grid.n_segments != len(spec.taps) + 1:
-        raise InputError("element does not match the operator layout")
+    _check_layout(spec, v)
     _check_profile(profile, v.grid)
     y = _bound_matrix(spec, profile) @ v.head
     if spec.kernels:
         y = y + _kernel_integral(spec, v)
-    tails = []
-    for j, (seg, tail) in enumerate(zip(v.grid.segments, v.tails)):
-        out = -profile.kappas[j] * tail
-        for kernel in spec.kernels:
-            rho = profile.rho(j, seg.theta)
-            for i, th in enumerate(seg.theta):
-                out[i] += (np.asarray(kernel(th), dtype=float).T @ v.head) / rho[i]
-        tails.append(out)
+    tails = [
+        _with_kernels(spec, profile, j, seg, v.head, -profile.kappas[j] * tail)
+        for j, (seg, tail) in enumerate(zip(v.grid.segments, v.tails))
+    ]
     return DiscretizedElement(0.5 * y, [0.5 * t for t in tails], v.grid)
 
 
@@ -429,13 +459,11 @@ def degeneracy_probe(
         grid = TailGrid.for_profile(profile, order)
         level_best = -np.inf
         for j in range(1, grid.n_segments):
-            vec = [np.zeros((seg.theta.size, spec.n)) for seg in grid.segments]
             for c in range(spec.n):
-                for t in vec:
-                    t[:] = 0.0
-                vec[j][-1, c] = 1.0  # left limit at the node
-                vec[j - 1][0, c] = 1.0  # matching right limit: continuous
-                v = DiscretizedElement(np.zeros(spec.n), [t.copy() for t in vec], grid)
+                tails = [np.zeros((seg.theta.size, spec.n)) for seg in grid.segments]
+                # left and matching right limit at the node: continuous
+                tails[j][-1, c] = tails[j - 1][0, c] = 1.0
+                v = DiscretizedElement(np.zeros(spec.n), tails, grid)
                 num = weighted_inner(apply_L(spec, v), v, profile)
                 den = weighted_inner(v, v, profile)
                 level_best = max(level_best, num / den)

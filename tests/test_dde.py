@@ -551,16 +551,6 @@ def test_equilibrium_volume_rates_converge_to_char_roots(model, xbar, a, b):
     assert ky_errs[2] <= 1e-4 * local_dim
 
 
-def test_monodromy_composition_exact():
-    model = dde.linear_scalar(-1.0, 0.5, 1.0)
-    traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 5.0, 1.0 / 32)
-    M2 = dde.linearized_monodromy(model, traj, 1.0, 24, span=2)
-    Ma = dde.linearized_monodromy(model, traj, 1.0, 24)
-    Mb = dde.linearized_monodromy(model, traj, 2.0, 24)
-    rel = np.linalg.norm(M2 - Mb @ Ma) / np.linalg.norm(M2)
-    assert rel <= 1e-12
-
-
 def test_monodromy_coverage_guard():
     model = dde.linear_scalar(-1.0, 0.5, 1.0)
     traj = dde.integrate(model, dde.HistorySegment.constant(1.0, 1.0), 3.0, 1.0 / 16)
@@ -591,11 +581,10 @@ def test_monodromy_calls_jac_once():
         return jac(t, x, xd)
 
     model.jac = counting_jac
-    M1 = dde.linearized_monodromy(model, traj, 2.0, 16)
-    M2 = dde.linearized_monodromy(model, traj, 2.0, 16, span=3)
-    # every stage time of a window comes in one batch: 3 stages x span * N steps
-    assert calls == [(3, 16), (3, 48)]
-    assert M1.shape == M2.shape == (17, 17)
+    M = dde.linearized_monodromy(model, traj, 2.0, 16)
+    # every stage time of a window comes in one batch: 3 stages x N steps
+    assert calls == [(3, 16)]
+    assert M.shape == (17, 17)
 
 
 @pytest.mark.parametrize(
@@ -604,14 +593,13 @@ def test_monodromy_calls_jac_once():
     ids=["mackey_glass", "suarez_schopf-forced"],
 )
 @pytest.mark.parametrize("N", [3, 64])
-@pytest.mark.parametrize("span", [1, 2])
-def test_batched_windows_equal_single_windows_bit_for_bit(model, N, span):
+def test_batched_windows_equal_single_windows_bit_for_bit(model, N):
     coef = np.random.default_rng(4).normal(size=(1, 4, 2))
     h0 = dde._trig_history(coef, 2.0, offset=0.1, scale=0.05)
     traj = dde.integrate(model, h0, 16.0, 2.0 / 128)
     t0s = np.array([2.0, 3.0, 4.0, 6.0, 9.5])  # overlapping and apart
-    batched = dde.linearized_monodromy(model, traj, t0s, N, span)
-    single = np.stack([dde.linearized_monodromy(model, traj, t, N, span) for t in t0s])
+    batched = dde.linearized_monodromy(model, traj, t0s, N)
+    single = np.stack([dde.linearized_monodromy(model, traj, t, N) for t in t0s])
     assert batched.shape == (5, N + 1, N + 1)
     assert np.array_equal(batched, single)
 

@@ -98,6 +98,56 @@ def test_profile_validation_and_delta():
     assert prof.rho(1, -0.5) == pytest.approx(math.exp(-0.45))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dop.DelayOperatorSpec(1, math.inf, [[0.1]], [[0.2]]),
+        lambda: dop.DelayOperatorSpec(1, math.nan, [[0.1]], [[0.2]]),
+        lambda: dop.DelayOperatorSpec(1, 1.0, [[math.nan]], [[0.2]]),
+        lambda: dop.DelayOperatorSpec(1, 1.0, [[0.1]], [[0.2]], taps=((0.5, [[math.inf]]),)),
+        lambda: dop.WeightProfile((0.5,), (-math.inf, 0.0)),
+        lambda: dop.WeightProfile((0.5, 0.7), (-1.0, math.nan, 0.0)),
+        lambda: dop.WeightProfile((math.nan,), (-1.0, 0.0)),
+        lambda: dop.WeightProfile((0.5, -math.inf), (-1.0, -0.5, 0.0)),
+        lambda: dop.TailGrid([-math.inf, 0.0], 8),
+    ],
+    ids=["tau-inf", "tau-nan", "L0-nan", "tap-inf", "partition-inf", "partition-nan",
+         "rate-nan", "rate-inf", "grid-inf"],
+)
+def test_non_finite_operator_inputs_are_rejected(make):
+    with pytest.raises(InputError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "partition, order",
+    [
+        ([-1.0, 0.0], 0),
+        ([-1.0, 0.0], -3),
+        ([-1.0, 0.0], 2.5),
+        ([-1.0, 0.0], math.nan),
+        ([-1.0, 0.0], math.inf),
+        ([-1.0, 0.0], "8"),
+        ([-1.0, -0.5, 0.0], (8, 0)),
+        ([0.0, -1.0], 8),
+        ([-1.0, -1.0, 0.0], 8),
+    ],
+)
+def test_tail_grid_rejects_bad_orders_and_partitions(partition, order):
+    with pytest.raises(InputError):
+        dop.TailGrid(partition, order)
+
+
+def test_tail_grid_takes_whole_orders_of_any_numeric_type():
+    grids = [dop.TailGrid([-1.0, -0.5, 0.0], o) for o in (4, 4.0, np.int64(4), (4, 4.0))]
+    assert {g.orders for g in grids} == {(4, 4)}
+    assert all(type(o) is int for g in grids for o in g.orders)
+    for g in grids[1:]:
+        assert g.matches(grids[0])
+        for a, b in zip(g.segments, grids[0].segments):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_element_roundtrip_and_views():
     _, profile, rng = two_d_setup()
     grid = dop.TailGrid.for_profile(profile, (8, 12))
