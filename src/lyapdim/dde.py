@@ -528,8 +528,8 @@ def linearized_monodromy(
     for i in range(N):
         V = X[:, i]
         lo = i - rows[i]
-        # a product per window: one BLAS call over all windows' columns
-        # would round some columns differently from a window built alone
+        # one product per step: every window reads the one shared identity
+        # history, so dm is (1, n, B) and broadcasts over the windows
         dm = (_MID_WEIGHTS[rows[i]] @ hist[:, lo : lo + 4].reshape(-1, 4, n * B)).reshape(-1, n, B)
         a, d = A[:, :, i], D[:, :, i]  # (3, K, n, n): this step's stages
         k1 = a[0] @ V + d[0] @ hist[:, i]

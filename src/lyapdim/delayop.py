@@ -34,7 +34,6 @@ __all__ = [
     "apply_L_star",
     "symmetrize_S",
     "symmetrized_matrix",
-    "degeneracy_probe",
 ]
 
 
@@ -137,9 +136,6 @@ class WeightProfile:
             raise InputError(f"interior node index must be in 1..{self.n_segments - 1}")
         node = self.segment_bounds(j)[1]
         return float(np.exp(self.kappas[j - 1] * node) - np.exp(self.kappas[j] * node))
-
-    def strictly_increasing(self) -> bool:
-        return all(b > a for a, b in zip(self.kappas, self.kappas[1:]))
 
 
 class _Segment(NamedTuple):
@@ -266,9 +262,13 @@ def _check_profile(profile: WeightProfile, grid: TailGrid):
         raise InputError("weight profile partition does not match the grid")
 
 
-def _check_layout(spec: DelayOperatorSpec, v: DiscretizedElement):
-    if v.n != spec.n or v.grid.n_segments != len(spec.taps) + 1:
-        raise InputError("element does not match the operator layout")
+def _check_layout(spec: DelayOperatorSpec, n: int, partition):
+    """Interior nodes must sit at the tap lags, where each tap reads its limits."""
+    if n != spec.n or not _same_partition(spec.partition(), partition):
+        raise InputError(
+            f"layout must be n = {spec.n}, nodes {spec.partition().tolist()}; "
+            f"got n = {n}, nodes {list(partition)}"
+        )
 
 
 def weighted_inner(v: DiscretizedElement, w: DiscretizedElement, profile: WeightProfile) -> float:
@@ -310,7 +310,7 @@ def apply_L(spec: DelayOperatorSpec, v: DiscretizedElement) -> DiscretizedElemen
     v must sit in the discrete domain: continuous tail with tail(0) = head,
     checked to _DOMAIN_TOL * sup-scale.
     """
-    _check_layout(spec, v)
+    _check_layout(spec, v.n, v.grid.partition)
     scale = v.sup_scale()
     bad = [r for r in _domain_residuals(v) if r > _DOMAIN_TOL * scale]
     if bad:
@@ -363,7 +363,7 @@ def apply_L_star(
     rho'/rho is kappa_j exactly on each open segment.  The adjoint boundary
     conditions must hold to _DOMAIN_TOL * sup-scale.
     """
-    _check_layout(spec, w)
+    _check_layout(spec, w.n, w.grid.partition)
     _check_profile(profile, w.grid)
     scale = w.sup_scale()
     res = adjoint_residuals(spec, profile, w)
@@ -378,13 +378,17 @@ def apply_L_star(
 
 
 def _bound_matrix(spec: DelayOperatorSpec, profile: WeightProfile) -> np.ndarray:
+    """The head block of 2 S_L; the one admissibility rule for a weight: a
+    bounded symmetrization exists only when every jump Delta_j is positive."""
     rho_at_tau = float(profile.rho(profile.n_segments - 1, -profile.tau))
     M = spec.L0 + spec.L0.T + np.eye(spec.n) + spec.L_tau @ spec.L_tau.T / rho_at_tau
     for j, (_, Lj) in enumerate(spec.taps, start=1):
         d = profile.delta(j)
-        if abs(d) < 1e-14:
+        if d <= 1e-14:
+            node = profile.segment_bounds(j)[1]
             raise DegenerateMetricError(
-                f"weight jump vanishes at interior node {j}; no symmetrization exists"
+                f"weight jump Delta_{j} = {d:.3e} at node {node} is not positive; "
+                "no bounded symmetrization exists"
             )
         M = M + Lj @ Lj.T / d
     return M
@@ -396,8 +400,9 @@ def symmetrize_S(
     """Additive symmetrization S_L(x, phi) = 1/2 (y, psi):
     y = (L0 + L0^T + rho(0) I + L_tau L_tau^T / rho(-tau)
          + sum_j L_j L_j^T / Delta_j) x + sum_i int M_i phi,
-    psi_j = -kappa_j phi_j + (sum_i M_i^T / rho_j) x."""
-    _check_layout(spec, v)
+    psi_j = -kappa_j phi_j + (sum_i M_i^T / rho_j) x.
+    _check_layout checks the nodes, _bound_matrix every Delta_j > 0."""
+    _check_layout(spec, v.n, v.grid.partition)
     _check_profile(profile, v.grid)
     y = _bound_matrix(spec, profile) @ v.head
     if spec.kernels:
@@ -412,65 +417,13 @@ def symmetrize_S(
 def symmetrized_matrix(spec: DelayOperatorSpec, profile: WeightProfile):
     """Head-block matrix M of 2 S_L and its nonincreasing eigenvalues.
 
-    Valid for kernel-free operators with strictly increasing weight rates;
-    the rest of the 2 S_L spectrum is the rates -kappa_j, each of infinite
-    multiplicity in the continuum limit.
+    Valid for kernel-free operators; the rest of the 2 S_L spectrum is the
+    rates -kappa_j, each of infinite multiplicity in the continuum limit.
+    _check_layout checks the profile's nodes, _bound_matrix every Delta_j > 0.
     """
     if spec.kernels:
         raise InputError("the head-block bound matrix requires empty kernels")
-    if len(profile.kappas) != len(spec.taps) + 1:
-        raise InputError("weight profile does not match the tap layout")
-    if not profile.strictly_increasing():
-        raise DegenerateMetricError(
-            "weight rates must increase strictly (all Delta_j > 0)"
-        )
+    _check_layout(spec, spec.n, profile.partition)
     M = _bound_matrix(spec, profile)
     ev = np.linalg.eigvalsh(M)[::-1]
     return M, ev
-
-
-class DegeneracyReport(NamedTuple):
-    unbounded: bool
-    max_quotient: float
-    orders: tuple
-    quotients: tuple
-
-
-def degeneracy_probe(
-    spec: DelayOperatorSpec,
-    profile: WeightProfile,
-    max_order: int = 4096,
-    threshold: float = 1e6,
-) -> DegeneracyReport:
-    """Search for unbounded trace numbers under a degenerate weight.
-
-    Rayleigh quotients <L v, v> / <v, v> of nodal hat elements concentrated
-    at interior partition nodes grow like the grid order squared exactly when
-    some weight jump Delta_j is negative; the search refines the grid until a
-    quotient exceeds the threshold ("unbounded trace numbers") or the ladder
-    is exhausted.
-    """
-    if len(spec.taps) == 0:
-        return DegeneracyReport(False, -np.inf, (), ())
-    orders, quots = [], []
-    best = -np.inf
-    order = 32
-    while order <= max_order:
-        grid = TailGrid.for_profile(profile, order)
-        level_best = -np.inf
-        for j in range(1, grid.n_segments):
-            for c in range(spec.n):
-                tails = [np.zeros((seg.theta.size, spec.n)) for seg in grid.segments]
-                # left and matching right limit at the node: continuous
-                tails[j][-1, c] = tails[j - 1][0, c] = 1.0
-                v = DiscretizedElement(np.zeros(spec.n), tails, grid)
-                num = weighted_inner(apply_L(spec, v), v, profile)
-                den = weighted_inner(v, v, profile)
-                level_best = max(level_best, num / den)
-        orders.append(order)
-        quots.append(level_best)
-        best = max(best, level_best)
-        if best > threshold:
-            break
-        order *= 2
-    return DegeneracyReport(best > threshold, best, tuple(orders), tuple(quots))

@@ -258,6 +258,22 @@ def test_roots_custom_problem(capsys):
     assert max(float(r[3]) for r in rows) <= 1e-9
 
 
+def test_roots_count_says_what_it_cannot_certify(capsys):
+    # a fixed --count certifies nothing it has too few roots for
+    argv = ["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22", "--count", "2"]
+    rc, out, _ = run_cli(argv, capsys)
+    comments, _, rows = parse_csv(out)
+    assert (rc, len(rows)) == (0, 2)
+    assert comments == ["a -0.1 b -0.4 tau 22.0", "N_u undetermined",
+                        "local_dimension undetermined"]
+    # a = 0.5, b = 0 has the one root 0.5: fewer than the three asked for
+    rc, out, _ = run_cli(["roots", "--a", "0.5", "--b", "0", "--tau", "1", "--count", "3"], capsys)
+    comments, _, rows = parse_csv(out)
+    assert (rc, rows) == (0, [["0", "0.5", "0.0", "0.0"]])
+    assert comments == ["a 0.5 b 0.0 tau 1.0", "N_u undetermined", "local_dimension undetermined",
+                        "partial: fewer certified roots than requested"]
+
+
 def test_roots_growth_until_certified(capsys):
     rc, out, _ = run_cli(["roots", "--a", "-0.1", "--b", "-0.4", "--tau", "22"], capsys)
     assert rc == 0
@@ -501,6 +517,22 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert cli.main(argv + ["--output", str(via_cfg), "--config", str(cfg)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
     assert serial.read_bytes() == via_cfg.read_bytes()
+
+
+def test_sweep_lyap_row_is_lyap_with_its_stated_recipe(capsys):
+    # README: a 50 tau burn-in, an 80 tau horizon, N = 64 and the default step
+    seed = ["--m", "4", "--seed", "3"]
+    rc, out, _ = run_cli(["sweep", *_MG, "--quantity", "lyap", "--tau-range", "20:22:2:lin", *seed],
+                         capsys)
+    _, cols, rows = parse_csv(out)
+    assert (rc, cols) == (0, ["tau", "lambda_1", "ky"])
+    assert rows[-1] == ["22.0", "0.008007541832617773", "2.38408518708108"]
+    for tau, lambda_1, ky in rows:
+        t = float(tau)
+        rc, out, _ = run_cli(["lyap", *_MG, "--tau", tau, *seed, "--burn-in", repr(50.0 * t),
+                              "--horizon", repr(80.0 * t)], capsys)
+        comments, _, spectrum = parse_csv(out)
+        assert rc == 0 and f"ky {ky}" in comments and spectrum[0][1] == lambda_1
 
 
 def test_sweep_validation(capsys):

@@ -320,15 +320,17 @@ def test_lyapunov_dimension_two_point_base():
 
 
 def test_lyapunov_metric_scalar_closed_form():
-    a, nu, T, dt = -0.3, 0.1, 4.0, 0.01
+    a, nu, dt = -0.3, 0.1, 0.01
     coc = constant_cocycle(np.array([[a]]), h=dt)
-    res = cy.lyapunov_metric(coc, nu, T, p=2.0, q="o", xi=np.array([1.5]))
-    pa = 2.0 * (a - nu)
-    want_norm = (1.5**2 * (math.exp(pa * T) - 1.0) / pa) ** 0.5
-    assert res.value == pytest.approx(want_norm, rel=1e-7)
-    # the certified exponent collapses to the true rate a
-    assert res.alpha == pytest.approx(a, abs=1e-7)
-    assert not res.warned
+    # 401 steps end the Simpson rule on one trapezoid panel
+    for T in (4.0, 4.01):
+        res = cy.lyapunov_metric(coc, nu, T, p=2.0, q="o", xi=np.array([1.5]))
+        pa = 2.0 * (a - nu)
+        want_norm = (1.5**2 * (math.exp(pa * T) - 1.0) / pa) ** 0.5
+        assert res.value == pytest.approx(want_norm, rel=1e-7)
+        # the certified exponent collapses to the true rate a
+        assert res.alpha == pytest.approx(a, abs=1e-7)
+        assert not res.warned
 
 
 def test_lyapunov_metric_warns_when_nu_too_small():

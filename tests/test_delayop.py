@@ -1,5 +1,6 @@
 """Weighted delay-operator calculus: inner products, L, its adjoint, the
-additive symmetrization, head-block bound matrices, degeneracy probes.
+additive symmetrization, head-block bound matrices, and the admissibility
+rule of a weight and a tap layout.
 
 Adjoint-domain elements are built exactly: with eta = rho * psi, the boundary
 conditions become eta(-tau) = L_tau^T y and jumps Delta(eta) = L_j^T y at the
@@ -90,7 +91,6 @@ def test_profile_validation_and_delta():
     assert prof.n_segments == 2
     assert prof.segment_bounds(0) == (-0.25, 0.0)
     assert prof.segment_bounds(1) == (-1.0, -0.25)
-    assert prof.strictly_increasing()
     want = math.exp(0.4 * -0.25) - math.exp(0.9 * -0.25)
     assert prof.delta(1) == pytest.approx(want, rel=1e-15)
     with pytest.raises(InputError):
@@ -391,23 +391,25 @@ def cross_element(grid, x):
 
 
 def test_symmetrization_identity_scalar():
-    spec = scalar_spec()
     profile = scalar_profile()
     grid = dop.TailGrid.for_profile(profile, 32)
     v = cross_element(grid, 1.0)
     w = cross_element(grid, 0.37)
-    sv = dop.symmetrize_S(spec, profile, v)
-    lhs = 2.0 * dop.weighted_inner(sv, w, profile)
-    rhs = dop.weighted_inner(dop.apply_L(spec, v), w, profile) + dop.weighted_inner(
-        dop.apply_L_star(spec, profile, v), w, profile
-    )
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-    # element-level: 2 S v = L v + L* v (the derivative terms cancel exactly)
-    Lv = dop.apply_L(spec, v)
-    Lsv = dop.apply_L_star(spec, profile, v)
-    assert np.allclose(2.0 * sv.head, Lv.head + Lsv.head, atol=1e-12)
-    for a, b, c in zip(sv.tails, Lv.tails, Lsv.tails):
-        assert np.allclose(2.0 * a, b + c, atol=1e-12)
+    # kernels leave both boundary conditions alone, so v stays in both domains
+    for kernels in ((), (lambda th: [[0.3 * math.cos(th)]],)):
+        spec = dop.DelayOperatorSpec(1, TAU, [[-0.3]], [[0.8]], kernels=kernels)
+        sv = dop.symmetrize_S(spec, profile, v)
+        lhs = 2.0 * dop.weighted_inner(sv, w, profile)
+        rhs = dop.weighted_inner(dop.apply_L(spec, v), w, profile) + dop.weighted_inner(
+            dop.apply_L_star(spec, profile, v), w, profile
+        )
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        # element-level: 2 S v = L v + L* v (the derivative terms cancel exactly)
+        Lv = dop.apply_L(spec, v)
+        Lsv = dop.apply_L_star(spec, profile, v)
+        assert np.allclose(2.0 * sv.head, Lv.head + Lsv.head, atol=1e-12)
+        for a, b, c in zip(sv.tails, Lv.tails, Lsv.tails):
+            assert np.allclose(2.0 * a, b + c, atol=1e-12)
 
 
 def test_symmetrization_identity_2d_with_tap():
@@ -486,41 +488,89 @@ def test_symmetrized_matrix_2d_oracle_and_order():
 
 def test_symmetrized_matrix_guards():
     spec, profile, _ = two_d_setup()
-    flat = dop.WeightProfile((0.9, 0.4), profile.partition)  # decreasing rates
-    with pytest.raises(DegenerateMetricError):
-        dop.symmetrized_matrix(spec, flat)
     kspec = dop.DelayOperatorSpec(
         1, TAU, [[-0.3]], [[0.8]], kernels=(lambda th: [[1.0]],)
     )
     with pytest.raises(InputError):
         dop.symmetrized_matrix(kspec, scalar_profile())
-    with pytest.raises(InputError):
-        dop.symmetrized_matrix(scalar_spec(), profile)  # layout mismatch
+    with pytest.raises(InputError, match="layout"):
+        dop.symmetrized_matrix(scalar_spec(), profile)  # one segment against two
 
 
-# ------------------------------------------------- degeneracy probe
+# ------------------------------------------------- admissibility
 
 
-def test_degeneracy_probe_flags_bad_weight():
+def hat_quotients(spec, profile, grids):
+    """Largest Rayleigh quotient <L v, v> / <v, v> over the continuous hat
+    elements e_c at the interior node, one per grid: the oracle of the rule."""
+    quotients = []
+    for grid in grids:
+        best = -math.inf
+        for c in range(spec.n):
+            tails = [np.zeros((seg.theta.size, spec.n)) for seg in grid.segments]
+            tails[1][-1, c] = tails[0][0, c] = 1.0
+            v = dop.DiscretizedElement(np.zeros(spec.n), tails, grid)
+            num = dop.weighted_inner(dop.apply_L(spec, v), v, profile)
+            best = max(best, num / dop.weighted_inner(v, v, profile))
+        quotients.append(best)
+    return quotients
+
+
+def test_hat_quotients_grow_with_the_sign_of_minus_delta():
+    # on a hat of width ~ 1/order^2 the boundary term -Delta_1 / 2 dominates:
+    # quotients grow x4 per doubling, unbounded above exactly when Delta_1 < 0
     spec, profile, _ = two_d_setup()
-    bad = dop.WeightProfile((0.9, 0.4), profile.partition)
-    rep = dop.degeneracy_probe(spec, bad, max_order=1024, threshold=1e4)
-    assert rep.unbounded
-    assert rep.max_quotient > 1e4
-    # hat-element Rayleigh quotients grow like the grid order squared
-    ratios = [b / a for a, b in zip(rep.quotients, rep.quotients[1:])]
-    for r in ratios:
-        assert 3.0 <= r <= 5.0
+    grids = [dop.TailGrid.for_profile(profile, o) for o in (32, 64, 128, 256)]
+    for kappas in ((0.4, 0.9), (0.9, 0.4), (0.65, 0.67), (0.67, 0.65)):
+        weight = dop.WeightProfile(kappas, profile.partition)
+        delta = weight.delta(1)  # +-0.181, +-7.2e-3
+        qs = hat_quotients(spec, weight, grids)
+        assert all(math.copysign(1.0, q) == -math.copysign(1.0, delta) for q in qs)
+        for a, b in zip(qs, qs[1:]):
+            assert b / a == pytest.approx(4.0, abs=2e-3)
+        if delta > 0:
+            dop.symmetrized_matrix(spec, weight)
+        else:
+            with pytest.raises(DegenerateMetricError, match="Delta_1"):
+                dop.symmetrized_matrix(spec, weight)
 
 
-def test_degeneracy_probe_healthy_weight_bounded():
-    spec, profile, _ = two_d_setup()
-    rep = dop.degeneracy_probe(spec, profile, max_order=256, threshold=1e4)
-    assert not rep.unbounded
-    assert rep.max_quotient < 1e4
-    assert rep.orders == (32, 64, 128, 256)
+@pytest.mark.parametrize(
+    "kappas, raises",
+    [((0.4, 0.9), False), ((0.4, 0.4 + 1e-12), False), ((0.4, 0.4 + 1e-14), True),
+     ((0.4, 0.4), True), ((0.4, 0.4 - 1e-12), True), ((0.9, 0.4), True)],
+)
+def test_symmetrization_raises_exactly_where_a_jump_is_not_positive(kappas, raises):
+    spec, _, rng = two_d_setup()
+    weight = dop.WeightProfile(kappas, (-TAU, -0.5, 0.0))
+    assert (weight.delta(1) <= 1e-14) == raises
+    grid = dop.TailGrid.for_profile(weight, 8)
+    v = dop.DiscretizedElement.from_functions(
+        grid, rng.normal(size=2), lambda th: np.stack([np.cos(th), th], axis=1)
+    )
+    for call in (lambda: dop.symmetrize_S(spec, weight, v),
+                 lambda: dop.symmetrized_matrix(spec, weight)):
+        if raises:
+            with pytest.raises(DegenerateMetricError, match="Delta_1 = .* at node -0.5"):
+                call()
+        else:
+            call()
 
 
-def test_degeneracy_probe_no_taps_trivial():
-    rep = dop.degeneracy_probe(scalar_spec(), scalar_profile())
-    assert rep == (False, -np.inf, (), ())
+def test_every_operator_call_checks_the_tap_layout():
+    # the tap sits at lag 0.5, the grid's interior node at -0.3
+    spec, _, rng = two_d_setup()
+    moved = dop.WeightProfile((0.4, 0.9), (-TAU, -0.3, 0.0))
+    grid = dop.TailGrid.for_profile(moved, 16)
+    y = rng.normal(size=2)
+    v = dop.DiscretizedElement.from_functions(
+        grid, y, lambda th: np.ones((th.size, 1)) * y[None, :]
+    )
+    G = lambda th: np.stack([np.cos(th), np.sin(th)], axis=1)
+    w = adjoint_element(spec, moved, grid, y, G)
+    for call in (lambda: dop.apply_L(spec, v),
+                 lambda: dop.apply_L_star(spec, moved, w),
+                 lambda: dop.symmetrize_S(spec, moved, v),
+                 lambda: dop.symmetrized_matrix(spec, moved)):
+        with pytest.raises(InputError, match="layout"):
+            call()
