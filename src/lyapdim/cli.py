@@ -145,11 +145,15 @@ class _Writer:
                 "rows": self.rows,
             }
             text = json.dumps(payload, sort_keys=True) + "\n"
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(self.path, text)
+
+
+def _emit(path: str | None, text: str):
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- models
@@ -654,22 +658,19 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """One result per check; CSV mode prints them as "STATUS  suite: check"
+    lines without the schema header."""
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
-    lines = []
-    for name in names:
-        for check, ok, detail in _SUITES[name](args.seed):
-            status = "PASS" if ok else "FAIL"
-            failures += 0 if ok else 1
-            suffix = f"  ({detail})" if detail else ""
-            lines.append(f"{status}  {name}: {check}{suffix}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    rows = [["PASS" if ok else "FAIL", name, check, detail]
+            for name in names for check, ok, detail in _SUITES[name](args.seed)]
+    if args.format == "json":
+        w = _Writer(args.output, args.format)
+        w.table(["status", "suite", "check", "detail"], rows)
+        w.flush()
     else:
-        sys.stdout.write(text)
-    return 1 if failures else 0
+        _emit(args.output, "".join(f"{status}  {name}: {check}{f'  ({detail})' if detail else ''}\n"
+                                   for status, name, check, detail in rows))
+    return 1 if any(row[0] == "FAIL" for row in rows) else 0
 
 
 # ---------------------------------------------------------------- sweep
@@ -744,7 +745,8 @@ def cmd_sweep(args) -> int:
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser, and each subcommand's name mapped to its parser and its
     flags' actions by destination: every setting is declared once, in its
-    add_argument call, and config-file values are cast through it."""
+    add_argument call, and config-file values are cast through it.  Each
+    subcommand's handler is its parser's `handler` default."""
     ap = argparse.ArgumentParser(
         prog="lyapdim",
         description="Upper bounds and numerical ground truth for Lyapunov "
@@ -753,8 +755,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = ap.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name, help, model=True):
+    def command(name, handler, help, model=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         actions = {}
         commands[name] = (p, actions)
 
@@ -772,30 +775,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                 flag(f"--{param}", type=float)
         return flag
 
-    flag = command("bound", "analytic dimension bound")
+    flag = command("bound", cmd_bound, "analytic dimension bound")
     flag("--scaled", action="store_true")
     flag("--lambda-mode", choices=("rough", "tight"))
 
-    flag = command("roots", "characteristic root table")
+    flag = command("roots", cmd_roots, "characteristic root table")
     flag("--equilibrium", default="plus", choices=_EQUILIBRIA)
     flag("--count", type=int)
 
-    flag = command("simulate", "integrate a model, emit trajectory CSV")
+    flag = command("simulate", cmd_simulate, "integrate a model, emit trajectory CSV")
     flag("--T", type=float)
     flag("--dt", type=float)
     flag("--history", default="const:0.5")
 
-    flag = command("lyap", "numerical Lyapunov spectrum")
+    flag = command("lyap", cmd_lyap, "numerical Lyapunov spectrum")
     flag("--m", type=int, default=6)
     flag("--N", type=int, default=64)
     flag("--burn-in", type=float)
     flag("--horizon", type=float)
     flag("--dt", type=float)
 
-    flag = command("verify", "run module invariant suites", model=False)
+    flag = command("verify", cmd_verify, "run module invariant suites", model=False)
     flag("--suite", default="all", choices=("all", *_SUITES))
 
-    flag = command("sweep", "quantity over a tau grid")
+    flag = command("sweep", cmd_sweep, "quantity over a tau grid")
     flag("--equilibrium", default="plus", choices=_EQUILIBRIA)
     flag("--quantity", default="bound", choices=tuple(_SWEEP_COLUMNS))
     flag("--tau-range")
@@ -826,20 +829,10 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
-_DISPATCH = {
-    "bound": cmd_bound,
-    "roots": cmd_roots,
-    "simulate": cmd_simulate,
-    "lyap": cmd_lyap,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except SystemExit as exc:  # argparse's exit, after --help or a rejected flag
         return int(exc.code) if exc.code else 0
     except InputError as exc:

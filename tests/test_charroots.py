@@ -463,6 +463,16 @@ def test_asymptotic_slope_short_range():
     assert fu.low_confidence
 
 
+def test_asymptotic_slope_sorts_a_descending_grid():
+    fam = lambda t: cr.CharProblem(-0.1, -0.4, t)
+    taus = np.logspace(1, 2, 9)
+    up = cr.asymptotic_slope(fam, "local_dimension", taus)
+    down = cr.asymptotic_slope(fam, "local_dimension", taus[::-1])
+    assert np.array_equal(down.taus, up.taus)
+    assert np.array_equal(down.values, up.values)
+    assert down.slope == up.slope
+
+
 def test_sorting_convention():
     rs = cr.char_roots(cr.CharProblem(0.5, 1.5, 3.0), 9)
     z = rs.roots

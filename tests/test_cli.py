@@ -17,7 +17,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import lyapdim
 from lyapdim import bounds, charroots, cli, cocycle, dde, delayop, tensor
 
 
@@ -417,6 +416,16 @@ def test_verify_single_suite(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_json_holds_the_checks_of_the_csv_lines(capsys):
+    rc, out, _ = run_cli(["verify", "--suite", "delayop", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert rc == 0 and payload["schema"] == "lyapdim v1"
+    assert payload["columns"] == ["status", "suite", "check", "detail"]
+    _, lines, _ = run_cli(["verify", "--suite", "delayop"], capsys)
+    assert [f"{status}  {suite}: {check}" + (f"  ({detail})" if detail else "")
+            for status, suite, check, detail in payload["rows"]] == lines.splitlines()
+
+
 def test_verify_cocycle_ill_conditioned_seed(capsys):
     # the 7th matrix here has singular values of expm(5A) spanning 2e10; a
     # reference summing logs of SVD values missed the 1e-6 tolerance
@@ -547,6 +556,10 @@ def test_sweep_validation(capsys):
     for bad in ("1:2:x:lin", "1:2:3.5:lin", "nan:2:3:lin", "1:inf:3:lin"):
         rc, out, err = run_cli(base + ["--quantity", "bound", "--tau-range", bad], capsys)
         assert (rc, out) == (2, "") and err.startswith("error: range"), bad
+    for bad, message in (("0:10:3:log", "log spacing needs start > 0"),
+                         ("1:2:3:geo", "unknown spacing 'geo'")):
+        rc, out, err = run_cli(base + ["--quantity", "bound", "--tau-range", bad], capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), bad
     rc, out, err = run_cli(base + ["--quantity", "lyap", "--m", "0", "--tau-range", "10:12:2:lin"],
                            capsys)
     assert (rc, out) == (2, "") and err.startswith("error: need 1 <= m")
@@ -688,11 +701,6 @@ def test_module_exports_exist():
     for module in (bounds, charroots, cocycle, dde, delayop, tensor):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-    # the package imports each name from its layer on first use
-    for name in lyapdim.__all__:
-        if name != "__version__":
-            obj = getattr(lyapdim, name)
-            assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 def test_console_script_installed():

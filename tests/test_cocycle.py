@@ -91,6 +91,27 @@ def test_qr_volume_collapse_flag():
     assert g.log_omega == -math.inf
 
 
+def test_qr_seed_probe_rescales_a_growing_or_shrinking_product():
+    # over the 64-step probe the product's norm passes 1e100, or falls below
+    # 1e-100, at step 58 and is rescaled there; the volumes are unchanged
+    for d in ([4.0, 0.0, -3.0], [-4.0, -5.0, -6.0]):
+        M = np.diag(np.exp(d))
+        coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q: M, 3, 1.0)
+        g = cy.volume_growth_qr(coc, "o", 3, 100.0)
+        assert not g.collapsed
+        assert np.array_equal(g.log_r.sum(axis=0), 100.0 * np.array(d))
+
+
+def test_qr_zero_fiber_collapses_every_order_at_the_first_step():
+    M = np.zeros((3, 3))
+    coc = cy.MatrixCocycle(("o",), lambda q: q, lambda q: M, 3, 1.0)
+    g = cy.volume_growth_qr(coc, "o", 3, 10.0)
+    assert g.collapsed and g.log_omega == -math.inf
+    assert g.log_r.shape == (10, 3) and np.isneginf(g.log_r).all()
+    rep = cy.uniform_exponents(coc, 3, T=10.0)
+    assert np.isneginf(rep.lambdas).all()
+
+
 def test_one_pass_gives_every_order():
     # the cumulated column sums of log|R_kk| are log omega_k for every k <= m,
     # checked against the singular values of the product, not against a QR
